@@ -5,7 +5,6 @@ use crate::merge::{MergeAction, MergeConfig, MergeStats, MergeUnit, Waiter};
 use crate::sync::GroupSyncTable;
 use cais_engine::Msg;
 use noc_sim::{Packet, SwitchCtx, SwitchLogic};
-use sim_core::profile::{prof_scope, Subsystem};
 use sim_core::rng::JitterRng;
 use sim_core::{FastHash, GpuId, GroupId, PlaneId, SimDuration, SimTime};
 use std::collections::{HashMap, HashSet};
@@ -163,32 +162,25 @@ impl SwitchLogic<Msg> for CaisLogic {
                 cais: true,
             } => {
                 let mut out = std::mem::take(&mut self.scratch);
-                {
-                    let _prof = prof_scope(Subsystem::MergeTable);
-                    self.merge.on_load_req(
-                        now,
-                        plane,
-                        addr,
-                        bytes,
-                        Waiter {
-                            requester,
-                            tb,
-                            tile,
-                        },
-                        &mut out,
-                    );
-                }
+                self.merge.on_load_req(
+                    now,
+                    plane,
+                    addr,
+                    bytes,
+                    Waiter {
+                        requester,
+                        tb,
+                        tile,
+                    },
+                    &mut out,
+                );
                 self.apply(&mut out, ctx);
                 self.scratch = out;
                 self.arm_timer(now, ctx);
             }
             Msg::LoadResp { addr, bytes, .. } => {
                 let mut out = std::mem::take(&mut self.scratch);
-                let consumed = {
-                    let _prof = prof_scope(Subsystem::MergeTable);
-                    self.merge.on_load_resp(now, plane, addr, bytes, &mut out)
-                };
-                if consumed {
+                if self.merge.on_load_resp(now, plane, addr, bytes, &mut out) {
                     self.apply(&mut out, ctx);
                 } else {
                     ctx.forward(pkt);
@@ -204,11 +196,8 @@ impl SwitchLogic<Msg> for CaisLogic {
                 cais: true,
             } => {
                 let mut out = std::mem::take(&mut self.scratch);
-                {
-                    let _prof = prof_scope(Subsystem::MergeTable);
-                    self.merge
-                        .on_reduce(now, plane, addr, bytes, src, contribs, tile, &mut out);
-                }
+                self.merge
+                    .on_reduce(now, plane, addr, bytes, src, contribs, tile, &mut out);
                 self.apply(&mut out, ctx);
                 self.scratch = out;
                 self.arm_timer(now, ctx);
@@ -228,13 +217,10 @@ impl SwitchLogic<Msg> for CaisLogic {
         let plane = PlaneId(key as u16);
         self.timer_armed.remove(&plane);
         let mut out = std::mem::take(&mut self.scratch);
-        let remain = {
-            let _prof = prof_scope(Subsystem::MergeTable);
-            if let Some(rng) = &mut self.fault_rng {
-                self.merge.inject_entry_faults(now, plane, rng, &mut out);
-            }
-            self.merge.sweep(now, plane, &mut out)
-        };
+        if let Some(rng) = &mut self.fault_rng {
+            self.merge.inject_entry_faults(now, plane, rng, &mut out);
+        }
+        let remain = self.merge.sweep(now, plane, &mut out);
         self.apply(&mut out, ctx);
         self.scratch = out;
         if remain && self.timer_armed.insert(plane) {

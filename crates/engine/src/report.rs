@@ -51,7 +51,7 @@ pub struct ExecReport {
     /// address, averaged (reported by CAIS logic; `None` otherwise).
     pub mean_request_spread: Option<SimDuration>,
     /// Discrete events processed across all GPU queues and the fabric
-    /// queue (perf accounting; drives `BENCH_sim.json`).
+    /// queue (perf accounting; read by `perfbench` as `engine.events`).
     pub events_processed: u64,
     /// Largest pending-event count reached by any single queue.
     pub queue_peak: usize,

@@ -7,7 +7,6 @@ use crate::program::Program;
 use crate::report::{ExecReport, KernelSpan};
 use gpu_sim::{GpuConfig, GpuEffect, GpuSim, MemOp, MemOpKind, SyncKind};
 use noc_sim::{Delivery, Fabric, SwitchLogic};
-use sim_core::profile::{prof_scope, Subsystem};
 use sim_core::{
     Addr, AuditPhase, AuditProbe, DenseMap, DenseSet, FastHash, GpuId, GroupId, KernelId, PlaneId,
     SimDuration, SimTime, TbId, TileId,
@@ -254,7 +253,6 @@ impl<L: SwitchLogic<Msg>> SystemSim<L> {
     /// fault injection force-delivered packets past their retransmit
     /// budget.
     pub fn run(mut self) -> Result<ExecReport, SimError> {
-        let _prof = prof_scope(Subsystem::EngineLoop);
         let roots: Vec<usize> = self
             .dep_remaining
             .iter()
@@ -266,10 +264,7 @@ impl<L: SwitchLogic<Msg>> SystemSim<L> {
             self.launch_kernel(SimTime::ZERO, i);
         }
         loop {
-            {
-                let _p = prof_scope(Subsystem::DrainEffects);
-                self.drain_effects();
-            }
+            self.drain_effects();
             // One scan finds both the earliest pending time and which
             // components own it, so the advance pass below touches only
             // the components that actually have work at `t`. The global
@@ -311,25 +306,21 @@ impl<L: SwitchLogic<Msg>> SystemSim<L> {
                     kernels_remaining: self.kernels_remaining,
                 });
             }
-            {
-                let _p = prof_scope(Subsystem::GpuAdvance);
-                if masked {
-                    let mut mask = gpu_due;
-                    while mask != 0 {
-                        let i = mask.trailing_zeros() as usize;
-                        mask &= mask - 1;
-                        self.gpus[i].advance(t);
-                    }
-                } else {
-                    // >64 GPUs overflows the due bitmask; fall back to
-                    // advancing everyone (correct, just does idle peeks).
-                    for gpu in &mut self.gpus {
-                        gpu.advance(t);
-                    }
+            if masked {
+                let mut mask = gpu_due;
+                while mask != 0 {
+                    let i = mask.trailing_zeros() as usize;
+                    mask &= mask - 1;
+                    self.gpus[i].advance(t);
+                }
+            } else {
+                // >64 GPUs overflows the due bitmask; fall back to
+                // advancing everyone (correct, just does idle peeks).
+                for gpu in &mut self.gpus {
+                    gpu.advance(t);
                 }
             }
             if fabric_due || !masked {
-                let _p = prof_scope(Subsystem::FabricAdvance);
                 self.fabric.advance(t);
             }
             self.now = t;

@@ -1,9 +1,8 @@
 //! CLI to regenerate the paper's tables and figures.
 //!
 //! ```text
-//! cais-experiments [fig2|fig11|fig12|fig13|fig14|fig15|fig16|fig17|fig18|table2|area|ablations|sensitivity|resilience|chaos|all]
+//! cais-experiments [fig2|fig11|fig12|fig13|fig14|fig15|fig16|fig17|fig18|table2|area|ablations|sensitivity|resilience|chaos|all]...
 //!                  [--smoke] [--jobs N] [--timeout-secs N] [--audit]
-//! cais-experiments --profile [--smoke]
 //! ```
 //!
 //! `--jobs N` bounds the sweep worker pool (default: the host's
@@ -21,101 +20,92 @@
 //! a forensic report. The `chaos` experiment additionally forces audit on
 //! for its own runs regardless of the flag.
 //!
-//! `--profile` runs the representative workload shapes single-threaded
-//! and prints the simulator's per-subsystem self-profiler breakdown;
-//! build with `--features profiler` to populate it (see
-//! [`cais_harness::profile`]).
+//! Arguments are strict: an unknown flag or experiment name prints the
+//! usage to stderr and exits with status 2 without running anything.
+//! `--help` prints the usage to stdout and exits 0.
 
 use cais_harness::{runner::Scale, sweep, Table};
 use std::time::{Duration, Instant};
 
-/// Per-thread allocation counters for `--profile` runs; a transparent
-/// pass-through to the system allocator without the `profiler` feature.
-#[cfg(feature = "profiler")]
-#[global_allocator]
-static COUNTING_ALLOC: sim_core::profile::CountingAllocator = sim_core::profile::CountingAllocator;
+type Experiment = (&'static str, fn(Scale, usize) -> Vec<Table>);
 
-/// Extracts the value of `--<name> N` / `--<name>=N` as a positive
-/// integer, exiting with status 2 on a malformed value.
-fn parse_flag(args: &[String], name: &str) -> Option<u64> {
-    let bad = || -> ! {
-        eprintln!("--{name} needs a positive integer");
-        std::process::exit(2);
-    };
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if a == &format!("--{name}") {
-            return Some(
-                it.next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n| n > 0)
-                    .unwrap_or_else(|| bad()),
-            );
-        }
-        if let Some(v) = a.strip_prefix(&format!("--{name}=")) {
-            return Some(v.parse().ok().filter(|&n| n > 0).unwrap_or_else(|| bad()));
-        }
-    }
-    None
+const EXPERIMENTS: [Experiment; 15] = [
+    ("fig2", cais_harness::fig02::run),
+    ("fig11", cais_harness::fig11::run),
+    ("fig12", cais_harness::fig12::run),
+    ("fig13", cais_harness::fig13::run),
+    ("fig14", cais_harness::fig14::run),
+    ("fig15", cais_harness::fig15::run),
+    ("fig16", cais_harness::fig16::run),
+    ("fig17", cais_harness::fig17::run),
+    ("fig18", cais_harness::fig18::run),
+    ("table2", cais_harness::table2::run),
+    ("area", cais_harness::area::run),
+    ("ablations", cais_harness::ablations::run),
+    ("sensitivity", cais_harness::sensitivity::run),
+    ("resilience", cais_harness::resilience::run),
+    ("chaos", cais_harness::chaos::run),
+];
+
+fn usage() -> String {
+    let names: Vec<&str> = EXPERIMENTS.iter().map(|(n, _)| *n).collect();
+    format!(
+        "usage: cais-experiments [EXPERIMENT]... [--smoke] [--audit] [--jobs N] [--timeout-secs N]\n\
+         experiments: {} all (default: all)",
+        names.join(" ")
+    )
+}
+
+/// Prints `msg` and the usage to stderr and exits with status 2.
+fn bad_args(msg: &str) -> ! {
+    eprintln!("cais-experiments: {msg}\n{}", usage());
+    std::process::exit(2);
+}
+
+/// Parses the value of `flag` as a positive integer, exiting with status
+/// 2 when it is missing or malformed.
+fn positive(flag: &str, value: Option<String>) -> u64 {
+    value
+        .and_then(|v| v.parse().ok())
+        .filter(|&n| n > 0)
+        .unwrap_or_else(|| bad_args(&format!("{flag} needs a positive integer")))
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
+    let mut smoke = false;
+    let mut jobs = None;
+    let mut timeout = None;
+    let mut which: Vec<String> = Vec::new();
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        let (flag, inline) = match arg.split_once('=') {
+            Some((f, v)) if f.starts_with("--") => (f, Some(v)),
+            _ => (arg.as_str(), None),
+        };
+        let mut count = || positive(flag, inline.map(str::to_owned).or_else(|| args.next()));
+        match flag {
+            "--help" if inline.is_none() => {
+                println!("{}", usage());
+                return;
+            }
+            "--smoke" if inline.is_none() => smoke = true,
+            "--audit" if inline.is_none() => sim_core::audit::set_force_enabled(true),
+            "--jobs" => jobs = Some(count() as usize),
+            "--timeout-secs" => timeout = Some(Duration::from_secs(count())),
+            _ if arg.starts_with('-') => bad_args(&format!("unknown option {arg:?}")),
+            name if name == "all" || EXPERIMENTS.iter().any(|(n, _)| *n == name) => which.push(arg),
+            _ => bad_args(&format!("unknown experiment {arg:?}")),
+        }
+    }
     let scale = if smoke { Scale::Smoke } else { Scale::Paper };
-    if args.iter().any(|a| a == "--audit") {
-        sim_core::audit::set_force_enabled(true);
-    }
-    if args.iter().any(|a| a == "--profile") {
-        cais_harness::profile::run(scale);
-        return;
-    }
-    let jobs = parse_flag(&args, "jobs")
-        .map(|n| n as usize)
-        .unwrap_or_else(sweep::default_jobs);
-    sweep::set_job_timeout(parse_flag(&args, "timeout-secs").map(Duration::from_secs));
-    let mut skip_next = false;
-    let which: Vec<&str> = args
-        .iter()
-        .filter(|a| {
-            if skip_next {
-                skip_next = false;
-                return false;
-            }
-            if *a == "--jobs" || *a == "--timeout-secs" {
-                skip_next = true;
-            }
-            !a.starts_with("--")
-        })
-        .map(|s| s.as_str())
-        .collect();
-    let which = if which.is_empty() { vec!["all"] } else { which };
+    let jobs = jobs.unwrap_or_else(sweep::default_jobs);
+    sweep::set_job_timeout(timeout);
+    let run_all = which.is_empty() || which.iter().any(|w| w == "all");
 
-    type Experiment = (&'static str, fn(Scale, usize) -> Vec<Table>);
-    let experiments: Vec<Experiment> = vec![
-        ("fig2", cais_harness::fig02::run),
-        ("fig11", cais_harness::fig11::run),
-        ("fig12", cais_harness::fig12::run),
-        ("fig13", cais_harness::fig13::run),
-        ("fig14", cais_harness::fig14::run),
-        ("fig15", cais_harness::fig15::run),
-        ("fig16", cais_harness::fig16::run),
-        ("fig17", cais_harness::fig17::run),
-        ("fig18", cais_harness::fig18::run),
-        ("table2", cais_harness::table2::run),
-        ("area", cais_harness::area::run),
-        ("ablations", cais_harness::ablations::run),
-        ("sensitivity", cais_harness::sensitivity::run),
-        ("resilience", cais_harness::resilience::run),
-        ("chaos", cais_harness::chaos::run),
-    ];
-
-    let run_all = which.contains(&"all");
-    let mut ran = 0;
     let mut failed = 0usize;
     let mut timed_out = 0usize;
-    for (name, f) in &experiments {
-        if run_all || which.contains(name) {
+    for (name, f) in &EXPERIMENTS {
+        if run_all || which.iter().any(|w| w == name) {
             let t0 = Instant::now();
             for table in f(scale, jobs) {
                 failed += table.failures.len();
@@ -123,19 +113,7 @@ fn main() {
                 println!("{}", table.render());
             }
             eprintln!("[{name} done in {:.1}s]\n", t0.elapsed().as_secs_f64());
-            ran += 1;
         }
-    }
-    if ran == 0 {
-        eprintln!(
-            "unknown experiment {which:?}; options: {} all",
-            experiments
-                .iter()
-                .map(|(n, _)| *n)
-                .collect::<Vec<_>>()
-                .join(" ")
-        );
-        std::process::exit(2);
     }
     if failed > 0 || timed_out > 0 {
         eprintln!(

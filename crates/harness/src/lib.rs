@@ -41,7 +41,6 @@ pub mod fig15;
 pub mod fig16;
 pub mod fig17;
 pub mod fig18;
-pub mod profile;
 pub mod resilience;
 pub mod runner;
 pub mod sensitivity;

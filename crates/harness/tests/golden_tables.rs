@@ -45,23 +45,6 @@ fn fig11_smoke_matches_golden() {
     );
 }
 
-/// The self-profiler observes the simulation but must never perturb it:
-/// CI runs this test both with and without `--features profiler`, and
-/// the rendered tables must match the same golden bytes in both builds.
-/// A single-threaded sweep keeps the profiler's thread-local counters on
-/// one thread, the configuration the profiler is specified for.
-#[test]
-fn profiler_feature_preserves_results() {
-    let golden = include_str!("golden/fig11_smoke.txt");
-    let got = rendered(cais_harness::fig11::run(Scale::Smoke, 1));
-    assert_eq!(
-        got,
-        golden,
-        "experiment output drifted with profiler enabled={}",
-        sim_core::profile::enabled()
-    );
-}
-
 #[test]
 fn fig14_smoke_matches_golden() {
     let golden = include_str!("golden/fig14_smoke.txt");
@@ -72,11 +55,9 @@ fn fig14_smoke_matches_golden() {
     );
 }
 
-/// The conservation auditor must be observe-only, exactly like the
-/// profiler: with auditing force-enabled at runtime (the `--audit` flag's
-/// mechanism) the fig11 and fig14 smoke tables must match the same golden
-/// bytes. CI also runs this file under `--features audit`, which enables
-/// auditing by default in every run, pinning the cargo-feature path too.
+/// The conservation auditor must be observe-only: with auditing
+/// force-enabled at runtime (the `--audit` flag's mechanism) the fig11
+/// and fig14 smoke tables must match the same golden bytes.
 #[test]
 fn audit_is_observe_only_on_golden_tables() {
     sim_core::audit::set_force_enabled(true);

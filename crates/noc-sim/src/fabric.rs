@@ -4,7 +4,6 @@ use crate::link::{Direction, EnqueueEffect, Link};
 use crate::packet::{Delivery, FlowClass, Hop, Packet, Payload};
 use crate::report::{FabricReport, LinkUsage, ResilienceCounters};
 use sim_core::audit::{AuditProbe, EventRing};
-use sim_core::profile::{prof_scope, Subsystem};
 use sim_core::rng::JitterRng;
 use sim_core::{
     Bandwidth, EventQueue, FaultPlan, GpuId, PlaneId, SimDuration, SimTime, Slab, SlotHandle,
@@ -550,10 +549,7 @@ impl<P: Payload, L: SwitchLogic<P>> Fabric<P, L> {
             plane,
             actions: std::mem::take(&mut self.scratch_actions),
         };
-        {
-            let _prof = prof_scope(Subsystem::SwitchLogic);
-            f(&mut self.logic, &mut ctx);
-        }
+        f(&mut self.logic, &mut ctx);
         let mut actions = ctx.actions;
         for action in actions.drain(..) {
             match action {

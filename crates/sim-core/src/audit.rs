@@ -22,13 +22,13 @@
 //!
 //! Tallies are always compiled — they are a handful of integer adds on
 //! paths dominated by queue and hash work. The *checks* and the ring
-//! recording run only when auditing is enabled: at runtime via
-//! [`set_force_enabled`] (the harness `--audit` flag), or by default in
-//! builds with the `audit` cargo feature. Auditing observes and never
-//! feeds a value back into simulation state, so results are byte-identical
-//! with auditing off and on; CI pins this against the golden tables the
-//! same way it pins the profiler (the second documented observe-only
-//! exception — auditing is the third, see the crate docs).
+//! recording run only when auditing is enabled: per run via
+//! [`AuditConfig::enabled`] (the engine's `SystemConfig::audit`), or for
+//! every run via [`set_force_enabled`] (the harness `--audit` flag).
+//! Auditing observes and never feeds a value back into simulation state,
+//! so results are byte-identical with auditing off and on; CI pins this
+//! against the golden tables (it is one of the crate's two documented
+//! observe-only exceptions, see the crate docs).
 
 use crate::time::SimTime;
 use std::fmt;
@@ -37,18 +37,17 @@ use std::sync::atomic::{AtomicBool, Ordering};
 /// Process-wide runtime switch flipped by the harness `--audit` flag.
 static FORCE_ENABLED: AtomicBool = AtomicBool::new(false);
 
-/// Forces auditing on (or off) for subsequently constructed simulations,
-/// regardless of the `audit` cargo feature. Observe-only by contract, so
-/// flipping this mid-process can change which runs are *checked*, never
-/// what they compute.
+/// Forces auditing on (or off) for subsequently constructed simulations.
+/// Observe-only by contract, so flipping this mid-process can change
+/// which runs are *checked*, never what they compute.
 pub fn set_force_enabled(on: bool) {
     FORCE_ENABLED.store(on, Ordering::Relaxed);
 }
 
-/// Whether newly constructed simulations audit by default: true in builds
-/// with the `audit` cargo feature or after [`set_force_enabled`]`(true)`.
+/// Whether newly constructed simulations audit by default: true after
+/// [`set_force_enabled`]`(true)`.
 pub fn default_enabled() -> bool {
-    cfg!(feature = "audit") || FORCE_ENABLED.load(Ordering::Relaxed)
+    FORCE_ENABLED.load(Ordering::Relaxed)
 }
 
 /// Auditor configuration, carried by the engine's `SystemConfig`.

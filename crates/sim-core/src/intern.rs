@@ -7,7 +7,7 @@
 //! # Determinism
 //!
 //! The interner is one of two deliberate exceptions to the crate's "no
-//! global state" rule (the other is [`crate::profile`]). Symbol ids are
+//! global state" rule (the other is [`crate::audit`]). Symbol ids are
 //! assigned in first-intern order, which can differ across runs when a
 //! parallel sweep interns from several worker threads — so `Symbol`
 //! intentionally implements **no `Ord` and no `Hash`**: it cannot be used

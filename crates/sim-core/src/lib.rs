@@ -15,11 +15,10 @@
 //!   allocation order.
 //! * No global state and no wall-clock access anywhere in simulation
 //!   paths; randomness is always an explicitly seeded [`rng::JitterRng`]
-//!   owned by the component that needs it. Three observe-only exceptions
-//!   are documented in place: the label interner ([`intern`]), the
-//!   feature-gated self-profiler ([`profile`]), and the conservation
-//!   auditor ([`audit`]). None of them can feed a value back into
-//!   simulation state.
+//!   owned by the component that needs it. Two observe-only exceptions
+//!   are documented in place: the label interner ([`intern`]) and the
+//!   conservation auditor ([`audit`]). Neither can feed a value back
+//!   into simulation state.
 //!
 //! # Example
 //!
@@ -40,7 +39,6 @@ pub mod bandwidth;
 pub mod fault;
 pub mod ids;
 pub mod intern;
-pub mod profile;
 pub mod queue;
 pub mod rng;
 pub mod slab;
@@ -57,7 +55,6 @@ pub use ids::{
     Addr, DenseMap, DenseSet, FastHash, GpuId, GroupId, IdIndex, KernelId, PlaneId, TbId, TileId,
 };
 pub use intern::Symbol;
-pub use profile::{prof_scope, Subsystem};
 pub use queue::EventQueue;
 pub use slab::{Slab, SlotHandle};
 pub use smallvec::SmallVec;
