@@ -17,8 +17,7 @@
 //! * operators stay strictly barriered.
 
 use cais_engine::{
-    lower::GemmLowering, ExecReport, IdAlloc, Msg, PlannedKernel, Program, SimError, Strategy,
-    SystemConfig, SystemSim,
+    lower::GemmLowering, IdAlloc, Msg, PlannedKernel, Program, Strategy, SystemConfig,
 };
 use gpu_sim::{KernelCost, KernelDesc, MemOp, MemOpKind, Phase, TbDesc};
 use llm_workload::{CollKind, Dfg, NodeId, NodeKind};
@@ -108,11 +107,6 @@ impl Strategy for LadmStrategy {
 
     fn switch_logic(&self, _cfg: &SystemConfig) -> Box<dyn SwitchLogic<Msg>> {
         Box::new(PureRouter)
-    }
-
-    fn run(&self, cfg: SystemConfig, program: Program) -> Result<ExecReport, SimError> {
-        // Monomorphized dispatch: LADM always routes through a plain switch.
-        SystemSim::new(cfg, program, PureRouter).run()
     }
 }
 

@@ -6,8 +6,7 @@ use crate::producers::{
     TiledGemmOpts,
 };
 use cais_engine::{
-    lower::GemmLowering, ExecReport, IdAlloc, Msg, PlannedKernel, Program, SimError, Strategy,
-    SystemConfig, SystemSim,
+    lower::GemmLowering, IdAlloc, Msg, PlannedKernel, Program, Strategy, SystemConfig,
 };
 use gpu_sim::KernelCost;
 use llm_workload::{CollKind, Dfg, NodeId, NodeKind};
@@ -194,18 +193,6 @@ impl Strategy for BaselineStrategy {
         match self.transport {
             Transport::Ring => Box::new(PureRouter),
             Transport::Nvls => Box::new(NvlsLogic::new(cfg.n_gpus)),
-        }
-    }
-
-    fn run(&self, cfg: SystemConfig, program: Program) -> Result<ExecReport, SimError> {
-        // Concrete logic types so the fabric's per-packet dispatch
-        // monomorphizes instead of going through `Box<dyn SwitchLogic>`.
-        match self.transport {
-            Transport::Ring => SystemSim::new(cfg, program, PureRouter).run(),
-            Transport::Nvls => {
-                let logic = NvlsLogic::new(cfg.n_gpus);
-                SystemSim::new(cfg, program, logic).run()
-            }
         }
     }
 }

@@ -1,19 +1,20 @@
 //! The CAIS switch logic: merge unit + Group Sync Table wired into the
 //! fabric's [`SwitchLogic`] hook.
 
-use crate::merge::{MergeAction, MergeConfig, MergeStats, MergeUnit, Waiter};
+use crate::merge::{MergeAction, MergeConfig, MergeUnit, Waiter};
 use crate::sync::GroupSyncTable;
 use cais_engine::Msg;
 use noc_sim::{Packet, SwitchCtx, SwitchLogic};
 use sim_core::rng::JitterRng;
-use sim_core::{FastHash, GpuId, GroupId, PlaneId, SimDuration, SimTime};
-use std::collections::{HashMap, HashSet};
+use sim_core::{FastHash, GpuId, PlaneId, SimDuration, SimTime};
+use std::collections::HashSet;
 
 /// In-switch behaviour for CAIS programs.
 ///
 /// * `ld.cais` / `red.cais` traffic goes through the [`MergeUnit`];
 /// * `SyncReq` goes through the [`GroupSyncTable`], broadcasting a
-///   release once every participant registered;
+///   release once as many GPUs registered as the request's
+///   `participants` count;
 /// * merged reduction completions return throttle credits to the
 ///   contributing GPUs;
 /// * everything else (notification writes, plain loads) is forwarded.
@@ -39,7 +40,7 @@ impl CaisLogic {
     pub fn new(n_gpus: usize, merge_cfg: MergeConfig) -> CaisLogic {
         CaisLogic {
             merge: MergeUnit::new(merge_cfg),
-            sync: GroupSyncTable::new(n_gpus, HashMap::new()),
+            sync: GroupSyncTable::new(),
             n_gpus,
             sweep_interval: SimDuration::from_us(20),
             timer_armed: HashSet::default(),
@@ -63,17 +64,6 @@ impl CaisLogic {
             self.sweep_interval = self.sweep_interval.min(SimDuration::from_us(1));
         }
         self
-    }
-
-    /// Overrides expected participants for specific groups.
-    pub fn with_group_expected(mut self, expected: HashMap<GroupId, u32>) -> CaisLogic {
-        self.sync = GroupSyncTable::new(self.n_gpus, expected);
-        self
-    }
-
-    /// Merge-unit statistics.
-    pub fn merge_stats(&self) -> &MergeStats {
-        self.merge.stats()
     }
 
     /// Test-only ledger corruption: skews the merge unit's session-open
@@ -202,8 +192,13 @@ impl SwitchLogic<Msg> for CaisLogic {
                 self.scratch = out;
                 self.arm_timer(now, ctx);
             }
-            Msg::SyncReq { group, gpu, kind } => {
-                if self.sync.register(now, group, gpu, kind) {
+            Msg::SyncReq {
+                group,
+                gpu,
+                kind,
+                participants,
+            } => {
+                if self.sync.register(now, group, gpu, kind, participants) {
                     for g in 0..self.n_gpus {
                         ctx.emit(gpu, GpuId(g as u16), Msg::SyncRel { group, kind });
                     }
@@ -274,8 +269,9 @@ impl SwitchLogic<Msg> for CaisLogic {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gpu_sim::SyncKind;
     use noc_sim::{Fabric, FabricConfig};
-    use sim_core::{Addr, TbId, TileId};
+    use sim_core::{Addr, GroupId, TbId, TileId};
 
     fn fabric(n: usize) -> Fabric<Msg, CaisLogic> {
         Fabric::new(
@@ -386,7 +382,8 @@ mod tests {
 
     #[test]
     fn sync_table_broadcasts_release() {
-        let n = 3;
+        // Four GPUs, but the group has TBs on only three of them.
+        let n = 4;
         let mut f = fabric(n);
         for g in 0..3u16 {
             f.inject(
@@ -397,7 +394,8 @@ mod tests {
                 Msg::SyncReq {
                     group: GroupId(4),
                     gpu: GpuId(g),
-                    kind: 1,
+                    kind: SyncKind::PreAccess,
+                    participants: 3,
                 },
             );
         }
@@ -405,9 +403,17 @@ mod tests {
         let d = f.drain_deliveries();
         let rels: Vec<_> = d
             .iter()
-            .filter(|x| matches!(x.payload, Msg::SyncRel { kind: 1, .. }))
+            .filter(|x| {
+                matches!(
+                    x.payload,
+                    Msg::SyncRel {
+                        kind: SyncKind::PreAccess,
+                        ..
+                    }
+                )
+            })
             .collect();
-        assert_eq!(rels.len(), 3, "release broadcast to every GPU");
+        assert_eq!(rels.len(), n, "release broadcast to every GPU");
     }
 
     #[test]

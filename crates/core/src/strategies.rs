@@ -34,15 +34,12 @@ use crate::index::Expr;
 use crate::logic::CaisLogic;
 use crate::merge::MergeConfig;
 use cais_engine::{
-    lower::GemmLowering, ExecReport, IdAlloc, Msg, PlannedKernel, Program, SimError, Strategy,
-    SystemConfig, SystemSim,
+    lower::GemmLowering, IdAlloc, Msg, PlannedKernel, Program, Strategy, SystemConfig,
 };
 use gpu_sim::{KernelCost, KernelDesc, MemOp, MemOpKind, Phase, ReadyPolicy, TbDesc};
 use llm_workload::{CollKind, Dfg, NodeId, NodeKind};
 use noc_sim::SwitchLogic;
 use sim_core::{GpuId, KernelId, SimDuration, TileId};
-use std::cell::RefCell;
-use std::collections::HashMap;
 
 /// Published CAIS variants.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -97,8 +94,6 @@ pub struct CaisStrategy {
     /// Throttle-credit override for ablations (`Some(None)` disables
     /// throttling even when the coordination option is on).
     credits_override: Option<Option<usize>>,
-    /// Filled during lowering; consumed by `switch_logic`.
-    group_expected: RefCell<HashMap<sim_core::GroupId, u32>>,
 }
 
 impl CaisStrategy {
@@ -118,7 +113,6 @@ impl CaisStrategy {
             timeout: SimDuration::from_us(30),
             cais_packet_bytes: DEFAULT_PACKET_BYTES,
             credits_override: None,
-            group_expected: RefCell::new(HashMap::new()),
         }
     }
 
@@ -260,7 +254,6 @@ impl Strategy for CaisStrategy {
     }
 
     fn lower(&self, dfg: &Dfg, cfg: &SystemConfig) -> Program {
-        self.group_expected.borrow_mut().clear();
         let plan = dataflow::plan(dfg);
         let mut ctx = LowerCtx {
             cfg,
@@ -293,22 +286,6 @@ impl Strategy for CaisStrategy {
     }
 
     fn switch_logic(&self, cfg: &SystemConfig) -> Box<dyn SwitchLogic<Msg>> {
-        Box::new(self.build_logic(cfg))
-    }
-
-    fn run(&self, cfg: SystemConfig, program: Program) -> Result<ExecReport, SimError> {
-        // Concrete `CaisLogic` so the fabric's per-packet dispatch
-        // monomorphizes instead of going through `Box<dyn SwitchLogic>`.
-        let logic = self.build_logic(&cfg);
-        SystemSim::new(cfg, program, logic).run()
-    }
-}
-
-impl CaisStrategy {
-    /// Builds the in-switch merge logic for `cfg`, shared by the boxed
-    /// [`Strategy::switch_logic`] path and the monomorphized
-    /// [`Strategy::run`] override.
-    fn build_logic(&self, cfg: &SystemConfig) -> CaisLogic {
         let (entry_fault_rate, degrade_threshold) = match &cfg.faults.merge_faults {
             Some(mf) => (mf.rate, mf.degrade_threshold),
             None => (0.0, u32::MAX),
@@ -321,11 +298,11 @@ impl CaisStrategy {
             entry_fault_rate,
             degrade_threshold,
         };
-        CaisLogic::new(cfg.n_gpus, merge_cfg)
-            .with_group_expected(self.group_expected.borrow().clone())
-            .with_fault_seed(cfg.faults.seed)
+        Box::new(CaisLogic::new(cfg.n_gpus, merge_cfg).with_fault_seed(cfg.faults.seed))
     }
+}
 
+impl CaisStrategy {
     /// A plain (non-fused) node: one kernel per GPU.
     fn lower_node(&self, ctx: &mut LowerCtx, dfg: &Dfg, id: NodeId) {
         let node = dfg.node(id);
@@ -407,17 +384,13 @@ impl CaisStrategy {
                                 ],
                             })
                             .collect();
-                        {
-                            let mut refs: Vec<&mut TbDesc> = row.iter_mut().collect();
-                            if let Some(grp) = coordinate_row(
-                                &mut ctx.ids,
-                                &self.coordination,
-                                &mut refs,
-                                &Expr::mul(Expr::BlockIdx, Expr::Const(pkt as i64)),
-                            ) {
-                                self.group_expected.borrow_mut().insert(grp, ctx.p() as u32);
-                            }
-                        }
+                        let mut refs: Vec<&mut TbDesc> = row.iter_mut().collect();
+                        coordinate_row(
+                            &mut ctx.ids,
+                            &self.coordination,
+                            &mut refs,
+                            &Expr::mul(Expr::BlockIdx, Expr::Const(pkt as i64)),
+                        );
                         for (g, tb) in row.into_iter().enumerate() {
                             per_gpu_tbs[g].push(tb);
                         }
@@ -615,17 +588,13 @@ impl CaisStrategy {
                         ],
                     })
                     .collect();
-                {
-                    let mut refs: Vec<&mut TbDesc> = row.iter_mut().collect();
-                    if let Some(grp) = coordinate_row(
-                        &mut ctx.ids,
-                        &self.coordination,
-                        &mut refs,
-                        &Expr::mul(Expr::BlockIdx, Expr::Const(tile_bytes as i64)),
-                    ) {
-                        self.group_expected.borrow_mut().insert(grp, ctx.p() as u32);
-                    }
-                }
+                let mut refs: Vec<&mut TbDesc> = row.iter_mut().collect();
+                coordinate_row(
+                    &mut ctx.ids,
+                    &self.coordination,
+                    &mut refs,
+                    &Expr::mul(Expr::BlockIdx, Expr::Const(tile_bytes as i64)),
+                );
                 for (g, tb) in row.into_iter().enumerate() {
                     producer_tbs[g].push(tb);
                 }
@@ -861,20 +830,15 @@ impl CaisStrategy {
                 }
             }
             if !fetcher_row.is_empty() {
-                {
-                    let mut refs: Vec<&mut TbDesc> = fetcher_row.iter_mut().collect();
-                    if let Some(grp) = coordinate_row(
-                        &mut ctx.ids,
-                        &self.coordination,
-                        &mut refs,
-                        &Expr::mul(Expr::BlockIdx, Expr::Const(tile_bytes as i64)),
-                    ) {
-                        // The owner reads locally and never syncs.
-                        self.group_expected
-                            .borrow_mut()
-                            .insert(grp, (ctx.p() - 1) as u32);
-                    }
-                }
+                // The owner reads locally, so the group spans only the
+                // `p - 1` fetcher GPUs.
+                let mut refs: Vec<&mut TbDesc> = fetcher_row.iter_mut().collect();
+                coordinate_row(
+                    &mut ctx.ids,
+                    &self.coordination,
+                    &mut refs,
+                    &Expr::mul(Expr::BlockIdx, Expr::Const(tile_bytes as i64)),
+                );
                 // Distribute the fetcher TBs back to their GPUs (they were
                 // built in GPU order, owner skipped).
                 let mut it = fetcher_row.into_iter();

@@ -5,6 +5,7 @@
 //! broadcast to all GPUs. The exchange uses empty packets, so the cost is
 //! one round trip (~0.5 µs in the paper's setup).
 
+use gpu_sim::SyncKind;
 use sim_core::{FastHash, GpuId, GroupId, SimDuration, SimTime};
 use std::collections::{HashMap, HashSet};
 
@@ -16,43 +17,35 @@ struct SyncEntry {
 }
 
 /// The Group Sync Table.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct GroupSyncTable {
-    n_gpus: usize,
-    /// Expected participants per group (defaults to `n_gpus`).
-    expected: HashMap<GroupId, u32, FastHash>,
-    entries: HashMap<(GroupId, u8), SyncEntry, FastHash>,
+    entries: HashMap<(GroupId, SyncKind), SyncEntry, FastHash>,
     releases: u64,
     wait_sum_ps: u128,
     wait_count: u64,
 }
 
 impl GroupSyncTable {
-    /// Creates a table for `n_gpus` GPUs with optional per-group
-    /// participant overrides.
-    pub fn new(n_gpus: usize, expected: HashMap<GroupId, u32>) -> GroupSyncTable {
-        GroupSyncTable {
-            n_gpus,
-            expected: expected.into_iter().collect(),
-            entries: HashMap::default(),
-            releases: 0,
-            wait_sum_ps: 0,
-            wait_count: 0,
-        }
+    /// Creates an empty table.
+    pub fn new() -> GroupSyncTable {
+        GroupSyncTable::default()
     }
 
-    /// Registers a sync request. Returns `true` when the group is now
+    /// Registers `gpu`'s sync request for `group`, which has
+    /// `participants` GPUs in total. Returns `true` when the group is now
     /// complete and the caller must broadcast the release.
-    pub fn register(&mut self, now: SimTime, group: GroupId, gpu: GpuId, kind: u8) -> bool {
-        let expected = self
-            .expected
-            .get(&group)
-            .copied()
-            .unwrap_or(self.n_gpus as u32);
+    pub fn register(
+        &mut self,
+        now: SimTime,
+        group: GroupId,
+        gpu: GpuId,
+        kind: SyncKind,
+        participants: u32,
+    ) -> bool {
         let entry = self.entries.entry((group, kind)).or_default();
         entry.first.get_or_insert(now);
         entry.arrived.insert(gpu);
-        if entry.arrived.len() as u32 >= expected {
+        if entry.arrived.len() as u32 >= participants {
             let entry = self.entries.remove(&(group, kind)).expect("entry exists");
             self.releases += 1;
             self.wait_sum_ps += now
@@ -87,6 +80,7 @@ impl GroupSyncTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use SyncKind::{PreAccess, PreLaunch};
 
     fn t(us: u64) -> SimTime {
         SimTime::from_us(us)
@@ -94,11 +88,11 @@ mod tests {
 
     #[test]
     fn releases_when_all_gpus_register() {
-        let mut s = GroupSyncTable::new(3, HashMap::new());
-        assert!(!s.register(t(1), GroupId(0), GpuId(0), 0));
-        assert!(!s.register(t(2), GroupId(0), GpuId(1), 0));
+        let mut s = GroupSyncTable::new();
+        assert!(!s.register(t(1), GroupId(0), GpuId(0), PreLaunch, 3));
+        assert!(!s.register(t(2), GroupId(0), GpuId(1), PreLaunch, 3));
         assert_eq!(s.open_groups(), 1);
-        assert!(s.register(t(4), GroupId(0), GpuId(2), 0));
+        assert!(s.register(t(4), GroupId(0), GpuId(2), PreLaunch, 3));
         assert_eq!(s.releases(), 1);
         assert_eq!(s.open_groups(), 0);
         assert_eq!(s.mean_wait(), SimDuration::from_us(3));
@@ -106,29 +100,34 @@ mod tests {
 
     #[test]
     fn duplicate_registrations_do_not_double_count() {
-        let mut s = GroupSyncTable::new(3, HashMap::new());
-        assert!(!s.register(t(1), GroupId(0), GpuId(0), 0));
-        assert!(!s.register(t(2), GroupId(0), GpuId(0), 0));
-        assert!(!s.register(t(3), GroupId(0), GpuId(1), 0));
-        assert!(s.register(t(4), GroupId(0), GpuId(2), 0));
+        let mut s = GroupSyncTable::new();
+        assert!(!s.register(t(1), GroupId(0), GpuId(0), PreLaunch, 3));
+        assert!(!s.register(t(2), GroupId(0), GpuId(0), PreLaunch, 3));
+        assert!(!s.register(t(3), GroupId(0), GpuId(1), PreLaunch, 3));
+        assert!(s.register(t(4), GroupId(0), GpuId(2), PreLaunch, 3));
     }
 
     #[test]
     fn kinds_are_independent() {
-        let mut s = GroupSyncTable::new(2, HashMap::new());
-        assert!(!s.register(t(1), GroupId(5), GpuId(0), 0));
-        assert!(!s.register(t(1), GroupId(5), GpuId(0), 1));
-        assert!(s.register(t(2), GroupId(5), GpuId(1), 0));
-        assert!(s.register(t(2), GroupId(5), GpuId(1), 1));
+        let mut s = GroupSyncTable::new();
+        assert!(!s.register(t(1), GroupId(5), GpuId(0), PreLaunch, 2));
+        assert!(!s.register(t(1), GroupId(5), GpuId(0), PreAccess, 2));
+        assert!(s.register(t(2), GroupId(5), GpuId(1), PreLaunch, 2));
+        assert!(s.register(t(2), GroupId(5), GpuId(1), PreAccess, 2));
         assert_eq!(s.releases(), 2);
     }
 
     #[test]
-    fn expected_override_shrinks_group() {
-        let mut expected = HashMap::new();
-        expected.insert(GroupId(9), 2);
-        let mut s = GroupSyncTable::new(8, expected);
-        assert!(!s.register(t(1), GroupId(9), GpuId(0), 0));
-        assert!(s.register(t(2), GroupId(9), GpuId(1), 0));
+    fn participants_shrink_group() {
+        // On an 8-GPU system a fetcher row that skips its owner has 7
+        // participants and a two-GPU group has 2; neither waits for 8.
+        let mut s = GroupSyncTable::new();
+        assert!(!s.register(t(1), GroupId(9), GpuId(0), PreLaunch, 2));
+        assert!(s.register(t(2), GroupId(9), GpuId(1), PreLaunch, 2));
+        for g in 1..7u16 {
+            assert!(!s.register(t(3), GroupId(3), GpuId(g), PreAccess, 7));
+        }
+        assert!(s.register(t(4), GroupId(3), GpuId(7), PreAccess, 7));
+        assert_eq!(s.open_groups(), 0);
     }
 }

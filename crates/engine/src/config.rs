@@ -34,9 +34,8 @@ pub struct SystemConfig {
     /// Fault-injection plan; the default injects nothing and leaves every
     /// result byte-identical to a fault-free run.
     pub faults: FaultPlan,
-    /// Conservation-auditor settings. The default enables checking only in
-    /// `audit`-feature builds or after
-    /// [`sim_core::audit::set_force_enabled`] (the harness `--audit`
+    /// Conservation-auditor settings. The default enables checking only
+    /// after [`sim_core::audit::set_force_enabled`] (the harness `--audit`
     /// flag); auditing is observe-only either way.
     pub audit: AuditConfig,
 }

@@ -1,5 +1,6 @@
 //! The system-wide fabric message vocabulary.
 
+use gpu_sim::SyncKind;
 use noc_sim::{FlowClass, Payload};
 use sim_core::{Addr, GpuId, GroupId, TbId, TileId};
 
@@ -130,16 +131,18 @@ pub enum Msg {
         group: GroupId,
         /// Requesting GPU.
         gpu: GpuId,
-        /// Pre-launch (0) or pre-access (1); kept as a raw discriminant so
-        /// the message stays `gpu-sim`-independent.
-        kind: u8,
+        /// Pre-launch or pre-access synchronization point.
+        kind: SyncKind,
+        /// Distinct GPUs holding TBs of `group`: the switch releases the
+        /// group once this many have registered.
+        participants: u32,
     },
     /// TB-group release broadcast (empty packet, switch -> GPU).
     SyncRel {
         /// The group.
         group: GroupId,
-        /// Pre-launch (0) or pre-access (1).
-        kind: u8,
+        /// Pre-launch or pre-access synchronization point.
+        kind: SyncKind,
     },
     /// Throttling credit return from the switch to a GPU (empty packet):
     /// grants the GPU permission to issue more CAIS requests on a plane.
@@ -205,7 +208,8 @@ mod tests {
         let m = Msg::SyncReq {
             group: GroupId(1),
             gpu: GpuId(0),
-            kind: 0,
+            kind: SyncKind::PreLaunch,
+            participants: 2,
         };
         assert_eq!(m.data_bytes(), 0);
         assert_eq!(m.class(), FlowClass::Sync);

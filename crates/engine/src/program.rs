@@ -1,7 +1,7 @@
 //! The lowered program representation executed by [`SystemSim`](crate::SystemSim).
 
 use gpu_sim::KernelDesc;
-use sim_core::{GpuId, GroupId, KernelId, TbId, TileId};
+use sim_core::{GpuId, KernelId, TbId, TileId};
 use std::collections::{HashMap, HashSet};
 
 /// A kernel instance scheduled on one GPU with launch dependencies.
@@ -29,9 +29,6 @@ pub struct Program {
     /// Reduction tiles needing more than one contribution before they
     /// count as present (e.g. `p` partial sums).
     pub tile_expected: HashMap<TileId, u32>,
-    /// Expected sync participants per TB group (defaults to the GPU count
-    /// when absent).
-    pub group_expected: HashMap<GroupId, u32>,
 }
 
 /// Program validation failures.

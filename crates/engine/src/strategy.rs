@@ -30,16 +30,18 @@ pub trait Strategy: Send {
     fn lower(&self, dfg: &Dfg, cfg: &SystemConfig) -> Program;
 
     /// The in-switch logic this strategy runs (plain router, NVLS
-    /// multicast/reduction, CAIS merge unit).
+    /// multicast/reduction, CAIS merge unit), built fresh for one run on
+    /// `cfg`. This is the only way a strategy supplies its switch: the
+    /// engine derives everything else the switch needs (such as the
+    /// participant count of each sync group) from the program.
     fn switch_logic(&self, cfg: &SystemConfig) -> Box<dyn SwitchLogic<Msg>>;
 
-    /// Runs an already-lowered `program` on `cfg`.
+    /// Runs an already-lowered `program` on `cfg` with
+    /// [`Strategy::switch_logic`] installed in every switch plane.
     ///
-    /// The default builds the dyn-boxed [`Strategy::switch_logic`] and
-    /// pays one virtual call per packet. Strategies override this to
-    /// construct their concrete logic type and instantiate a
-    /// monomorphized [`SystemSim`], so the whole run costs exactly one
-    /// virtual call — this method — at the strategy boundary.
+    /// Each packet the switch handles costs one virtual call into the
+    /// boxed logic. Strategies do not override this, so every run of
+    /// every strategy takes this one path.
     ///
     /// # Errors
     ///

@@ -37,11 +37,12 @@ struct ThrottleState {
 /// Construct with [`SystemSim::new`], then call [`SystemSim::run`].
 ///
 /// Generic over the switch-logic type so the per-packet callback
-/// monomorphizes to a direct call. Passing a concrete logic (possibly
-/// boxed, e.g. `Box<PureRouter>`) compiles a dedicated fabric with no
-/// virtual dispatch on the packet path; passing `Box<dyn SwitchLogic<Msg>>`
-/// keeps the old fully-dynamic behaviour for callers that select logic at
-/// runtime.
+/// monomorphizes for the logic it is given. [`Strategy::run`] passes the
+/// strategy's `Box<dyn SwitchLogic<Msg>>`, so each packet the switch
+/// handles costs one virtual call; callers holding a concrete logic type
+/// (tests, wrappers) get a direct call.
+///
+/// [`Strategy::run`]: crate::Strategy::run
 pub struct SystemSim<L: SwitchLogic<Msg>> {
     cfg: SystemConfig,
     gpus: Vec<GpuSim>,
@@ -65,6 +66,9 @@ pub struct SystemSim<L: SwitchLogic<Msg>> {
     /// Pre-access-blocked TBs, flat-indexed `gpu * n_groups + group`.
     preaccess_blocked: Vec<Vec<TbId>>,
     n_groups: usize,
+    /// Distinct GPUs holding TBs of each group, indexed by group: the
+    /// sync participant count carried by every `SyncReq`.
+    group_participants: Vec<u32>,
 
     /// Per-plane CAIS credit state, flat-indexed `gpu * n_planes + plane`.
     throttle: Vec<ThrottleState>,
@@ -151,9 +155,18 @@ impl<L: SwitchLogic<Msg>> SystemSim<L> {
             .unwrap_or(0);
 
         let mut tb_gpu: DenseMap<TbId, GpuId> = DenseMap::with_capacity(n_tbs);
+        let mut group_participants = vec![0u32; n_groups];
+        let mut group_on_gpu = vec![false; cfg.n_gpus * n_groups];
         for k in &program.kernels {
             for tb in &k.desc.tbs {
                 tb_gpu.insert(tb.id, k.gpu);
+                if let Some(g) = tb.group {
+                    let seen = &mut group_on_gpu[k.gpu.index() * n_groups + g.index()];
+                    if !*seen {
+                        *seen = true;
+                        group_participants[g.index()] += 1;
+                    }
+                }
             }
         }
 
@@ -225,6 +238,7 @@ impl<L: SwitchLogic<Msg>> SystemSim<L> {
             tile_expected,
             preaccess_blocked: vec![Vec::new(); cfg.n_gpus * n_groups],
             n_groups,
+            group_participants,
             throttle,
             inflight_cais_loads: HashSet::default(),
             deduped_fetches: 0,
@@ -634,13 +648,10 @@ impl<L: SwitchLogic<Msg>> SystemSim<L> {
             }
             GpuEffect::TileReady { tile } => self.mark_tile_present(t, gpu, tile),
             GpuEffect::GroupSyncRequest { tb, group, kind } => {
-                let kind_raw = match kind {
-                    SyncKind::PreLaunch => 0,
-                    SyncKind::PreAccess => 1,
-                };
                 if kind == SyncKind::PreAccess {
                     self.preaccess_blocked[gpu.index() * self.n_groups + group.index()].push(tb);
                 }
+                let participants = self.group_participants[group.index()];
                 self.inject(
                     t,
                     gpu,
@@ -648,7 +659,8 @@ impl<L: SwitchLogic<Msg>> SystemSim<L> {
                     Msg::SyncReq {
                         group,
                         gpu,
-                        kind: kind_raw,
+                        kind,
+                        participants,
                     },
                 );
             }
@@ -936,8 +948,8 @@ impl<L: SwitchLogic<Msg>> SystemSim<L> {
                 panic!("SyncReq reached a GPU; switch logic must implement the sync table");
             }
             Msg::SyncRel { group, kind } => match kind {
-                0 => self.gpus[gpu.index()].release_group(t, group),
-                _ => {
+                SyncKind::PreLaunch => self.gpus[gpu.index()].release_group(t, group),
+                SyncKind::PreAccess => {
                     let slot = gpu.index() * self.n_groups + group.index();
                     let waiters = self
                         .preaccess_blocked

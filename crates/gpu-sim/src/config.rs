@@ -41,7 +41,7 @@ pub struct GpuConfig {
     /// Upper bound of the uniform per-kernel launch skew: host/driver
     /// noise staggering the same kernel's launch across GPUs (the
     /// dominant source of the paper's ~35 us uncoordinated request
-    /// spread; see Jain et al. [18] on ML-job variability).
+    /// spread; see Jain et al. \[18\] on ML-job variability).
     pub launch_skew: SimDuration,
     /// Upper bound of the uniform per-compute-phase duration jitter
     /// (divergence accumulated while a TB executes).

@@ -8,11 +8,11 @@
 //!
 //! * **Thread confinement.** A job closure owns everything it needs
 //!   (model, config, strategy constructor) and builds its own
-//!   [`SystemSim`](cais_engine::SystemSim) on the worker thread, so
-//!   interior mutability inside strategies (e.g. `CaisStrategy`'s
-//!   lowering cache) never crosses threads.
+//!   [`SystemSim`](cais_engine::SystemSim) on the worker thread, so no
+//!   simulation state (the program, the switch logic's tables) is ever
+//!   shared between threads.
 //! * **Failure isolation.** A job that returns a typed
-//!   [`SimError`](cais_engine::SimError), panics, or exceeds the optional
+//!   [`SimError`], panics, or exceeds the optional
 //!   per-job wall-clock watchdog ([`set_job_timeout`]) becomes a failed
 //!   result carrying a [`JobFailure`] instead of aborting the binary;
 //!   the remaining jobs keep running.

@@ -53,11 +53,6 @@ impl FabricConfig {
             faults: FaultPlan::default(),
         }
     }
-
-    /// Aggregate per-GPU bandwidth in one direction (all planes).
-    pub fn per_gpu_bw(&self) -> Bandwidth {
-        Bandwidth::bytes_per_sec(self.link_bw.as_bytes_per_sec() * self.n_planes as f64)
-    }
 }
 
 /// Actions a [`SwitchLogic`] can take when handling a packet or timer.
@@ -129,10 +124,9 @@ pub trait SwitchLogic<P: Payload> {
     fn audit_probe(&self, _probe: &mut AuditProbe) {}
 }
 
-// Covers both `Box<dyn SwitchLogic<P>>` (the thin dyn entry point kept at
-// strategy construction) and `Box<ConcreteLogic>` (where the forwarding
-// calls inline away, so a monomorphized fabric pays no virtual dispatch
-// per packet).
+// Covers both `Box<dyn SwitchLogic<P>>` (what every strategy run installs:
+// one virtual call per packet) and `Box<ConcreteLogic>` (where the
+// forwarding calls inline away).
 impl<P: Payload, L: SwitchLogic<P> + ?Sized> SwitchLogic<P> for Box<L> {
     fn on_packet(&mut self, now: SimTime, pkt: Packet<P>, ctx: &mut SwitchCtx<P>) {
         (**self).on_packet(now, pkt, ctx);
