@@ -16,13 +16,12 @@
 //!   behind CAIS;
 //! * operators stay strictly barriered.
 
-use cais_engine::{
-    lower::GemmLowering, IdAlloc, Msg, PlannedKernel, Program, Strategy, SystemConfig,
-};
-use gpu_sim::{KernelCost, KernelDesc, MemOp, MemOpKind, Phase, TbDesc};
+use cais_engine::lower::{push_kernel, GemmLowering, Launch};
+use cais_engine::{IdAlloc, Msg, Program, Strategy, SystemConfig};
+use gpu_sim::{KernelCost, MemOp, MemOpKind, Phase, TbDesc};
 use llm_workload::{CollKind, Dfg, NodeId, NodeKind};
 use noc_sim::{PureRouter, SwitchLogic};
-use sim_core::{GpuId, KernelId, TileId};
+use sim_core::{GpuId, KernelId, SimDuration, TileId};
 
 /// The LADM baseline strategy.
 #[derive(Debug)]
@@ -76,27 +75,15 @@ impl Strategy for LadmStrategy {
                 NodeKind::Collective { kind, rows, cols } => {
                     self.lower_collective(&mut ctx, dfg, id, *kind, *rows, *cols)
                 }
-                other => {
-                    let name = dfg.node(id).name.clone();
-                    let mut kids = Vec::with_capacity(ctx.cfg.n_gpus);
-                    for g in 0..ctx.cfg.n_gpus {
-                        let kid = ctx.ids.kernel();
-                        let desc = ctx.low.plain_compute_kernel(
-                            &mut ctx.ids,
-                            kid,
-                            &name,
-                            GpuId(g as u16),
-                            other,
-                            ctx.cfg.gpu.sm_count,
-                        );
-                        ctx.prog.push(PlannedKernel {
-                            gpu: GpuId(g as u16),
-                            desc,
-                            after: ctx.prev.clone(),
-                        });
-                        kids.push(kid);
-                    }
-                    ctx.prev = kids;
+                _ => {
+                    ctx.prev = ctx.low.compute_node(
+                        &mut ctx.prog,
+                        &mut ctx.ids,
+                        ctx.cfg.n_gpus,
+                        dfg.node(id),
+                        ctx.cfg.gpu.sm_count,
+                        |_| ctx.prev.clone(),
+                    );
                 }
             }
         }
@@ -173,29 +160,22 @@ impl LadmStrategy {
                                 tile: Some(tile),
                             }
                         };
-                        gpu_tbs.push(TbDesc {
-                            id: ctx.ids.tb(),
-                            order_key: order.get(),
-                            group: None,
-                            pre_launch_sync: false,
-                            phases: vec![
-                                Phase::Compute(sim_core::SimDuration::from_ns(200)),
-                                Phase::IssueMem {
-                                    ops: vec![op],
-                                    wait: false,
-                                },
-                            ],
-                        });
+                        let phases = vec![
+                            Phase::Compute(SimDuration::from_ns(200)),
+                            Phase::IssueMem {
+                                ops: vec![op],
+                                wait: false,
+                            },
+                        ];
+                        gpu_tbs.push(TbDesc::new(ctx.ids.tb(), order.get(), phases));
                     }
                     // Owner-side waiter.
                     let wid = ctx.ids.tb();
-                    per_gpu_tbs[owner.index()].push(TbDesc {
-                        id: wid,
-                        order_key: order.get() + 1,
-                        group: None,
-                        pre_launch_sync: false,
-                        phases: vec![Phase::Compute(sim_core::SimDuration::from_ns(100))],
-                    });
+                    per_gpu_tbs[owner.index()].push(TbDesc::compute_only(
+                        wid,
+                        order.get() + 1,
+                        SimDuration::from_ns(100),
+                    ));
                     ctx.prog.tb_ready_deps.insert(wid, vec![tile]);
                     order.set(order.get() + 2);
                 }
@@ -214,22 +194,17 @@ impl LadmStrategy {
                             continue;
                         }
                         let tile: Option<TileId> = None; // no reuse capture
-                        gpu_tbs.push(TbDesc {
-                            id: ctx.ids.tb(),
-                            order_key: order.get(),
-                            group: None,
-                            pre_launch_sync: false,
-                            phases: vec![Phase::IssueMem {
-                                ops: vec![MemOp {
-                                    kind: MemOpKind::RemoteLoad,
-                                    addr,
-                                    bytes: len,
-                                    cais: false,
-                                    tile,
-                                }],
-                                wait: true,
+                        let load = Phase::IssueMem {
+                            ops: vec![MemOp {
+                                kind: MemOpKind::RemoteLoad,
+                                addr,
+                                bytes: len,
+                                cais: false,
+                                tile,
                             }],
-                        });
+                            wait: true,
+                        };
+                        gpu_tbs.push(TbDesc::new(ctx.ids.tb(), order.get(), vec![load]));
                     }
                     order.set(order.get() + 1);
                 }
@@ -246,20 +221,23 @@ impl LadmStrategy {
         }
 
         let mut kids = Vec::with_capacity(ctx.cfg.n_gpus);
-        let after = ctx.prev.clone();
         for (g, tbs) in per_gpu_tbs.into_iter().enumerate() {
+            // Dependency-gated kernels need every TB in the ready map
+            // (an absent entry would never become dispatchable).
             for tb in &tbs {
                 ctx.prog.tb_ready_deps.entry(tb.id).or_default();
             }
-            let kid = ctx.ids.kernel();
-            let mut desc = KernelDesc::new(kid, format!("ladm.{name}"), tbs);
-            desc.tbs_auto_ready = false;
-            ctx.prog.push(PlannedKernel {
-                gpu: GpuId(g as u16),
-                desc,
-                after: after.clone(),
-            });
-            kids.push(kid);
+            let after = ctx.prev.clone();
+            let kname = format!("ladm.{name}");
+            kids.push(push_kernel(
+                &mut ctx.prog,
+                &mut ctx.ids,
+                g,
+                kname,
+                tbs,
+                after,
+                Launch::GATED,
+            ));
         }
         ctx.prev = kids;
     }

@@ -1,12 +1,13 @@
 //! Shared producer/consumer lowering helpers for the baselines.
 
-use cais_engine::{lower::GemmLowering, IdAlloc, PlannedKernel, Program};
-use gpu_sim::{KernelDesc, MemOp, MemOpKind, Phase, TbDesc};
-use sim_core::{Addr, GpuId, KernelId, SimDuration, TileId};
+use cais_engine::lower::{push_kernel, GemmLowering, Launch};
+use cais_engine::{IdAlloc, Program};
+use gpu_sim::{MemOp, MemOpKind, Phase, TbDesc};
+use sim_core::{Addr, KernelId, SimDuration, TileId};
 
 /// A GEMM kernel lowered with per-output-tile completion signals, so
 /// chunk-overlapping collectives (CoCoNet/FuseLib) or per-tile triggers
-/// (T3) can consume its output incrementally.
+/// (T3's trigger kernel) can consume its output incrementally.
 ///
 /// The returned `tiles[mi][ni]` ids are shared across GPUs: each GPU's
 /// own TB marks the tile present on that GPU.
@@ -15,8 +16,6 @@ pub struct TiledGemm {
     pub kernel_ids: Vec<KernelId>,
     /// Output tile signals `[m_band][n_band]`.
     pub tiles: Vec<Vec<TileId>>,
-    /// Band geometry: `(m_tiles, n_tiles)`.
-    pub grid: (u64, u64),
 }
 
 /// Options for [`lower_tiled_gemm`].
@@ -33,11 +32,6 @@ pub struct TiledGemmOpts<'a> {
     pub after: Vec<KernelId>,
     /// Skip launch overhead (FuseLib-style megakernel member).
     pub fused_launch: bool,
-    /// Per-tile epilogue: given `(mi, ni, owner-of-band)` returns extra
-    /// memory ops the TB issues after computing (T3's track-&-trigger
-    /// stores; `None` for plain producers).
-    #[allow(clippy::type_complexity)]
-    pub epilogue: Option<Box<dyn Fn(u64, u64, usize) -> Vec<MemOp> + 'a>>,
 }
 
 /// Lowers a GEMM into one kernel per GPU with tile signals.
@@ -56,47 +50,28 @@ pub fn lower_tiled_gemm(
         let row: Vec<TileId> = (0..n_nb).map(|_| ids.tile()).collect();
         tiles.push(row);
     }
-    let mut kernel_ids = Vec::with_capacity(n_gpus);
-    for g in 0..n_gpus {
-        let mut tbs = Vec::with_capacity((n_mb * n_nb) as usize);
-        for mi in 0..n_mb {
-            let m_len = tile.min(opts.m - mi * tile);
-            for ni in 0..n_nb {
-                let n_len = tile.min(opts.n - ni * tile);
-                let mut phases = vec![
-                    Phase::Compute(low.gemm_tb_time(m_len, n_len, opts.k)),
-                    Phase::SignalTile(tiles[mi as usize][ni as usize]),
-                ];
-                if let Some(ep) = &opts.epilogue {
-                    let ops = ep(mi, ni, g);
-                    if !ops.is_empty() {
-                        phases.push(Phase::IssueMem { ops, wait: false });
-                    }
+    let launch = Launch {
+        fused: opts.fused_launch,
+        ..Launch::READY
+    };
+    let kernel_ids = (0..n_gpus)
+        .map(|g| {
+            let mut tbs = Vec::with_capacity((n_mb * n_nb) as usize);
+            for mi in 0..n_mb {
+                let m_len = tile.min(opts.m - mi * tile);
+                for ni in 0..n_nb {
+                    let n_len = tile.min(opts.n - ni * tile);
+                    let phases = vec![
+                        Phase::Compute(low.gemm_tb_time(m_len, n_len, opts.k)),
+                        Phase::SignalTile(tiles[mi as usize][ni as usize]),
+                    ];
+                    tbs.push(TbDesc::new(ids.tb(), mi * n_nb + ni, phases));
                 }
-                tbs.push(TbDesc {
-                    id: ids.tb(),
-                    order_key: mi * n_nb + ni,
-                    group: None,
-                    pre_launch_sync: false,
-                    phases,
-                });
             }
-        }
-        let kid = ids.kernel();
-        let mut desc = KernelDesc::new(kid, opts.name.to_string(), tbs);
-        desc.fused_launch = opts.fused_launch;
-        prog.push(PlannedKernel {
-            gpu: GpuId(g as u16),
-            desc,
-            after: opts.after.clone(),
-        });
-        kernel_ids.push(kid);
-    }
-    TiledGemm {
-        kernel_ids,
-        tiles,
-        grid: (n_mb, n_nb),
-    }
+            push_kernel(prog, ids, g, opts.name, tbs, opts.after.clone(), launch)
+        })
+        .collect();
+    TiledGemm { kernel_ids, tiles }
 }
 
 /// Maps a collective chunk (`shard`, byte offset, byte len over a
@@ -165,43 +140,34 @@ pub fn lower_gated_gemm(
     let tile = low.tiling.tile;
     let n_mb = m.div_ceil(tile);
     let n_nb = n.div_ceil(tile);
-    let mut kernel_ids = Vec::with_capacity(n_gpus);
-    for g in 0..n_gpus {
-        let mut tbs = Vec::with_capacity((n_mb * n_nb) as usize);
-        for mi in 0..n_mb {
-            let m_len = tile.min(m - mi * tile);
-            for ni in 0..n_nb {
-                let n_len = tile.min(n - ni * tile);
-                let id = ids.tb();
-                tbs.push(TbDesc {
-                    id,
-                    order_key: mi * n_nb + ni,
-                    group: None,
-                    pre_launch_sync: false,
-                    phases: vec![Phase::Compute(low.gemm_tb_time(m_len, n_len, k))],
-                });
-                if !gates.is_empty() {
-                    prog.tb_ready_deps.insert(id, gates[g][mi as usize].clone());
+    let launch = if gates.is_empty() {
+        Launch::READY
+    } else {
+        Launch::GATED
+    };
+    (0..n_gpus)
+        .map(|g| {
+            let mut tbs = Vec::with_capacity((n_mb * n_nb) as usize);
+            for mi in 0..n_mb {
+                let m_len = tile.min(m - mi * tile);
+                for ni in 0..n_nb {
+                    let n_len = tile.min(n - ni * tile);
+                    let id = ids.tb();
+                    let compute = Phase::Compute(low.gemm_tb_time(m_len, n_len, k));
+                    tbs.push(TbDesc::new(id, mi * n_nb + ni, vec![compute]));
+                    if !gates.is_empty() {
+                        prog.tb_ready_deps.insert(id, gates[g][mi as usize].clone());
+                    }
                 }
             }
-        }
-        let kid = ids.kernel();
-        let mut desc = KernelDesc::new(kid, name.to_string(), tbs);
-        desc.tbs_auto_ready = gates.is_empty();
-        prog.push(PlannedKernel {
-            gpu: GpuId(g as u16),
-            desc,
-            after: after.clone(),
-        });
-        kernel_ids.push(kid);
-    }
-    kernel_ids
+            push_kernel(prog, ids, g, name, tbs, after.clone(), launch)
+        })
+        .collect()
 }
 
 /// Convenience: a direct reduction epilogue for T3-style track & trigger.
 /// Each output tile is pushed to its row-shard owner: remote GPUs write
 /// a counted contribution, the owner accumulates locally.
-#[allow(clippy::too_many_arguments)]
 pub fn t3_epilogue(
     addrs: Vec<Vec<Addr>>,
     red_tiles: Vec<Vec<TileId>>,
@@ -245,29 +211,21 @@ pub fn waiter_kernels(
     gates: &[Vec<TileId>],
     after: Vec<KernelId>,
 ) -> Vec<KernelId> {
-    let mut out = Vec::with_capacity(n_gpus);
-    for (g, gate) in gates.iter().enumerate().take(n_gpus) {
-        let id = ids.tb();
-        let tb = TbDesc {
-            id,
-            order_key: 0,
-            group: None,
-            pre_launch_sync: false,
-            phases: vec![Phase::Compute(SimDuration::from_ns(100))],
-        };
-        prog.tb_ready_deps.insert(id, gate.clone());
-        let kid = ids.kernel();
-        let mut desc = KernelDesc::new(kid, format!("{name}.wait"), vec![tb]);
-        desc.tbs_auto_ready = false;
-        desc.fused_launch = true;
-        prog.push(PlannedKernel {
-            gpu: GpuId(g as u16),
-            desc,
-            after: after.clone(),
-        });
-        out.push(kid);
-    }
-    out
+    let launch = Launch {
+        fused: true,
+        ..Launch::GATED
+    };
+    gates
+        .iter()
+        .enumerate()
+        .take(n_gpus)
+        .map(|(g, gate)| {
+            let tb = TbDesc::compute_only(ids.tb(), 0, SimDuration::from_ns(100));
+            prog.tb_ready_deps.insert(tb.id, gate.clone());
+            let kname = format!("{name}.wait");
+            push_kernel(prog, ids, g, kname, vec![tb], after.clone(), launch)
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -297,10 +255,8 @@ mod tests {
                 k: 512,
                 after: vec![],
                 fused_launch: false,
-                epilogue: None,
             },
         );
-        assert_eq!(g.grid, (2, 3));
         assert_eq!(g.tiles.len(), 2);
         assert_eq!(g.tiles[0].len(), 3);
         assert_eq!(prog.kernels.len(), 2);

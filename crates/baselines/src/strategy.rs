@@ -2,20 +2,19 @@
 //! CoCoNet, FuseLib, T3 and their NVLS-enhanced variants.
 
 use crate::producers::{
-    chunk_input_tiles, lower_gated_gemm, lower_tiled_gemm, t3_epilogue, waiter_kernels, TiledGemm,
-    TiledGemmOpts,
+    bands_for_chunk, chunk_input_tiles, lower_gated_gemm, lower_tiled_gemm, t3_epilogue,
+    waiter_kernels, TiledGemm, TiledGemmOpts,
 };
-use cais_engine::{
-    lower::GemmLowering, IdAlloc, Msg, PlannedKernel, Program, Strategy, SystemConfig,
-};
-use gpu_sim::KernelCost;
+use cais_engine::lower::{push_kernel, GemmLowering, Launch};
+use cais_engine::{IdAlloc, Msg, Program, Strategy, SystemConfig};
+use gpu_sim::{KernelCost, Phase, TbDesc};
 use llm_workload::{CollKind, Dfg, NodeId, NodeKind};
 use noc_sim::{PureRouter, SwitchLogic};
 use nvls::{
     nvls_all_gather, nvls_all_reduce, nvls_reduce_scatter, ring_all_gather, ring_all_reduce,
-    ring_reduce_scatter, CollOutput, InputTiles, NvlsLogic,
+    ring_reduce_scatter, CollLowering, CollOutput, InputTiles, NvlsLogic,
 };
-use sim_core::{GpuId, KernelId, TileId};
+use sim_core::{GpuId, KernelId, SimDuration, TileId};
 
 /// How collectives travel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -141,7 +140,6 @@ impl BaselineStrategy {
 
 struct Ctx<'a> {
     cfg: &'a SystemConfig,
-    cost: KernelCost,
     low: GemmLowering,
     ids: IdAlloc,
     prog: Program,
@@ -164,11 +162,9 @@ impl Strategy for BaselineStrategy {
     }
 
     fn lower(&self, dfg: &Dfg, cfg: &SystemConfig) -> Program {
-        let cost = KernelCost::new(&cfg.gpu);
         let mut ctx = Ctx {
             cfg,
             low: GemmLowering::new(KernelCost::new(&cfg.gpu), cfg.tile, dfg.elem_bytes),
-            cost,
             ids: IdAlloc::new(cfg.n_gpus),
             prog: Program::new(),
             prev: Vec::new(),
@@ -249,7 +245,6 @@ impl BaselineStrategy {
                             k: *k,
                             after,
                             fused_launch: fused,
-                            epilogue: None,
                         },
                     );
                     ctx.prev = tg.kernel_ids.clone();
@@ -263,32 +258,18 @@ impl BaselineStrategy {
     }
 
     fn plain_node(&self, ctx: &mut Ctx, dfg: &Dfg, id: NodeId) {
-        let node = dfg.node(id);
-        let after = ctx.prev.clone();
-        let mut kids = Vec::with_capacity(ctx.cfg.n_gpus);
-        for g in 0..ctx.cfg.n_gpus {
-            let kid = ctx.ids.kernel();
-            let desc = ctx.low.plain_compute_kernel(
-                &mut ctx.ids,
-                kid,
-                &node.name,
-                GpuId(g as u16),
-                &node.kind,
-                ctx.cfg.gpu.sm_count,
-            );
-            ctx.prog.push(PlannedKernel {
-                gpu: GpuId(g as u16),
-                desc,
-                after: after.clone(),
-            });
-            kids.push(kid);
-        }
-        ctx.prev = kids;
+        ctx.prev = ctx.low.compute_node(
+            &mut ctx.prog,
+            &mut ctx.ids,
+            ctx.cfg.n_gpus,
+            dfg.node(id),
+            ctx.cfg.gpu.sm_count,
+            |_| ctx.prev.clone(),
+        );
         ctx.prev_gemm = None;
         ctx.prev_coll_gates = None;
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn lower_collective(
         &self,
         ctx: &mut Ctx,
@@ -337,68 +318,23 @@ impl BaselineStrategy {
         } else {
             ctx.prev.clone()
         };
-        let out: CollOutput = match (self.transport, kind) {
-            (Transport::Ring, CollKind::AllGather) => ring_all_gather(
-                &mut ctx.prog,
-                &mut ctx.ids,
-                ctx.cfg,
-                &ctx.cost,
-                &name,
-                bytes_full,
-                &after,
-                input.as_ref(),
-            ),
-            (Transport::Ring, CollKind::ReduceScatter) => ring_reduce_scatter(
-                &mut ctx.prog,
-                &mut ctx.ids,
-                ctx.cfg,
-                &ctx.cost,
-                &name,
-                bytes_full,
-                &after,
-                input.as_ref(),
-            ),
-            (Transport::Ring, CollKind::AllReduce) => ring_all_reduce(
-                &mut ctx.prog,
-                &mut ctx.ids,
-                ctx.cfg,
-                &ctx.cost,
-                &name,
-                bytes_full,
-                &after,
-                input.as_ref(),
-            ),
-            (Transport::Nvls, CollKind::AllGather) => nvls_all_gather(
-                &mut ctx.prog,
-                &mut ctx.ids,
-                ctx.cfg,
-                &ctx.cost,
-                &name,
-                bytes_full,
-                &after,
-                input.as_ref(),
-            ),
-            (Transport::Nvls, CollKind::ReduceScatter) => nvls_reduce_scatter(
-                &mut ctx.prog,
-                &mut ctx.ids,
-                ctx.cfg,
-                &ctx.cost,
-                &name,
-                bytes_full,
-                &after,
-                input.as_ref(),
-            ),
-            (Transport::Nvls, CollKind::AllReduce) => nvls_all_reduce(
-                &mut ctx.prog,
-                &mut ctx.ids,
-                ctx.cfg,
-                &ctx.cost,
-                &name,
-                bytes_full,
-                &after,
-                input.as_ref(),
-            ),
+        let lower: CollLowering = match (self.transport, kind) {
+            (Transport::Ring, CollKind::AllGather) => ring_all_gather,
+            (Transport::Ring, CollKind::ReduceScatter) => ring_reduce_scatter,
+            (Transport::Ring, CollKind::AllReduce) => ring_all_reduce,
+            (Transport::Nvls, CollKind::AllGather) => nvls_all_gather,
+            (Transport::Nvls, CollKind::ReduceScatter) => nvls_reduce_scatter,
+            (Transport::Nvls, CollKind::AllReduce) => nvls_all_reduce,
         };
+        let out = lower(
+            &mut ctx.prog,
+            &mut ctx.ids,
+            ctx.cfg,
+            &name,
+            bytes_full,
+            &after,
+            input.as_ref(),
+        );
 
         // T3 consumes AllGather output per band; everyone else barriers.
         if self.overlap == Overlap::Tile && kind == CollKind::AllGather {
@@ -434,14 +370,10 @@ impl BaselineStrategy {
         let p = ctx.cfg.n_gpus as u64;
         let tile = ctx.cfg.tile;
         let n_mb = rows.div_ceil(tile);
-        let row_bytes = cols * elem;
         let mut gates: Vec<Vec<Vec<TileId>>> =
             vec![vec![Vec::new(); n_mb as usize]; ctx.cfg.n_gpus];
         for (gidx, &(shard, off, len)) in out.chunks.iter().enumerate() {
-            let shard_row0 = shard as u64 * rows / p;
-            let start = shard_row0 + off / row_bytes;
-            let end = shard_row0 + (off + len).div_ceil(row_bytes);
-            for mi in (start / tile)..(end.div_ceil(tile)).min(n_mb) {
+            for mi in bands_for_chunk(rows, cols, elem, p, tile, shard, off, len) {
                 for (g, arrival) in out.chunk_arrivals[gidx].iter().enumerate() {
                     if let Some(t) = arrival {
                         gates[g][mi as usize].push(*t);
@@ -472,16 +404,10 @@ impl BaselineStrategy {
         let n_mb = rows.div_ceil(tile);
         let n_nb = cols.div_ceil(tile);
         let tile_bytes = tile * tile * elem;
-        let (tg, m, n) = ctx.prev_gemm.take().expect("caller checked");
-        // Re-lower the producer with a track-&-trigger epilogue: remove is
-        // impossible, so instead we *replace* by noting the producer was
-        // already emitted without an epilogue... To keep lowering
-        // single-pass, the producer GEMM feeding a T3 reduction is
-        // re-emitted here with its epilogue, and the original tiled GEMM
-        // kernels double as the "trigger tracking" producer. In practice
-        // the paper's T3 writes tiles as they complete; we model that by
-        // attaching per-tile writes gated on the producer's tile signals.
-        let _ = (m, n);
+        // T3 writes each output tile as it completes. The producer GEMM
+        // was already emitted with per-tile signals; a trigger kernel
+        // below issues each tile's store once its signal lands.
+        let (tg, _, _) = ctx.prev_gemm.take().expect("caller checked");
         let mut addrs = Vec::with_capacity(n_mb as usize);
         let mut red_tiles = Vec::with_capacity(n_mb as usize);
         for mi in 0..n_mb {
@@ -500,39 +426,39 @@ impl BaselineStrategy {
         // Trigger kernel per GPU: one TB per output tile, gated on the
         // producer's tile signal, firing the direct store.
         let ep = t3_epilogue(addrs, red_tiles.clone(), tile_bytes, n_mb, p);
+        let launch = Launch {
+            fused: true,
+            ..Launch::GATED
+        };
         let mut trigger_kids = Vec::with_capacity(ctx.cfg.n_gpus);
         for g in 0..ctx.cfg.n_gpus {
             let mut tbs = Vec::new();
             for mi in 0..n_mb {
                 for ni in 0..n_nb {
                     let id = ctx.ids.tb();
-                    tbs.push(gpu_sim::TbDesc {
-                        id,
-                        order_key: mi * n_nb + ni,
-                        group: None,
-                        pre_launch_sync: false,
-                        phases: vec![
-                            gpu_sim::Phase::Compute(sim_core::SimDuration::from_ns(100)),
-                            gpu_sim::Phase::IssueMem {
-                                ops: ep(mi, ni, g),
-                                wait: false,
-                            },
-                        ],
-                    });
+                    let phases = vec![
+                        Phase::Compute(SimDuration::from_ns(100)),
+                        Phase::IssueMem {
+                            ops: ep(mi, ni, g),
+                            wait: false,
+                        },
+                    ];
+                    tbs.push(TbDesc::new(id, mi * n_nb + ni, phases));
                     ctx.prog
                         .tb_ready_deps
                         .insert(id, vec![tg.tiles[mi as usize][ni as usize]]);
                 }
             }
-            let kid = ctx.ids.kernel();
-            let mut desc = gpu_sim::KernelDesc::new(kid, format!("t3.{name}"), tbs);
-            desc.tbs_auto_ready = false;
-            desc.fused_launch = true;
-            ctx.prog.push(PlannedKernel {
-                gpu: GpuId(g as u16),
-                desc,
-                after: ctx.prev.clone(),
-            });
+            let after = ctx.prev.clone();
+            let kid = push_kernel(
+                &mut ctx.prog,
+                &mut ctx.ids,
+                g,
+                format!("t3.{name}"),
+                tbs,
+                after,
+                launch,
+            );
             trigger_kids.push(kid);
         }
         // Waiters: the reduced shard is ready at its owner.
@@ -555,7 +481,6 @@ impl BaselineStrategy {
                 &mut ctx.prog,
                 &mut ctx.ids,
                 ctx.cfg,
-                &ctx.cost,
                 &format!("{name}_ag"),
                 rows * cols * elem,
                 &wait_kids,

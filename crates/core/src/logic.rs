@@ -213,7 +213,7 @@ impl SwitchLogic<Msg> for CaisLogic {
         self.timer_armed.remove(&plane);
         let mut out = std::mem::take(&mut self.scratch);
         if let Some(rng) = &mut self.fault_rng {
-            self.merge.inject_entry_faults(now, plane, rng, &mut out);
+            self.merge.inject_entry_faults(plane, rng, &mut out);
         }
         let remain = self.merge.sweep(now, plane, &mut out);
         self.apply(&mut out, ctx);

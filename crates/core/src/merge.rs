@@ -25,6 +25,10 @@ pub struct Waiter {
     pub tile: Option<TileId>,
 }
 
+/// Metadata bytes charged per Merging Table entry (CAM tag, state,
+/// counters) on top of any data it caches.
+pub const ENTRY_OVERHEAD_BYTES: u64 = 16;
+
 /// Merge unit configuration.
 #[derive(Debug, Clone)]
 pub struct MergeConfig {
@@ -35,8 +39,6 @@ pub struct MergeConfig {
     /// Merging Table capacity per port; `None` = unbounded (used by the
     /// Fig. 13a "minimal required size" experiment).
     pub table_bytes_per_port: Option<u64>,
-    /// Metadata bytes charged per entry (CAM tag, state, counters).
-    pub entry_overhead_bytes: u64,
     /// Idle time after which an entry is evicted for forward progress.
     pub timeout: SimDuration,
     /// Per-entry SRAM fault probability at each sweep tick (see
@@ -55,7 +57,6 @@ impl MergeConfig {
         MergeConfig {
             n_gpus,
             table_bytes_per_port: Some(40 * 1024),
-            entry_overhead_bytes: 16,
             timeout: SimDuration::from_us(30),
             entry_fault_rate: 0.0,
             degrade_threshold: 8,
@@ -310,19 +311,14 @@ impl MergeUnit {
                         bytes,
                     });
                     if entry.count + prior >= full {
-                        Self::release(&mut self.stats, port, addr, full);
+                        Self::release(&mut self.stats, port, addr);
                     }
                 }
                 SessionKind::Reduction { .. } => {
                     // Type mismatch (CAM matches on address AND type):
                     // treat as unmergeable.
                     self.stats.bypasses += 1;
-                    self.stats.loads_forwarded += 1;
-                    out.push(MergeAction::ForwardLoad {
-                        waiter,
-                        addr,
-                        bytes,
-                    });
+                    Self::forward_unmerged(&mut self.stats, waiter, addr, bytes, out);
                 }
             }
             return;
@@ -332,25 +328,15 @@ impl MergeUnit {
         // never open a session (existing sessions drain normally above).
         if port.degraded {
             self.stats.degraded_bypasses += 1;
-            self.stats.loads_forwarded += 1;
-            out.push(MergeAction::ForwardLoad {
-                waiter,
-                addr,
-                bytes,
-            });
+            Self::forward_unmerged(&mut self.stats, waiter, addr, bytes, out);
             return;
         }
 
         // New session: needs table space for metadata now (data later).
-        let need = self.cfg.entry_overhead_bytes;
+        let need = ENTRY_OVERHEAD_BYTES;
         if !Self::make_room(&self.cfg, &mut self.stats, port, need, out) {
             self.stats.bypasses += 1;
-            self.stats.loads_forwarded += 1;
-            out.push(MergeAction::ForwardLoad {
-                waiter,
-                addr,
-                bytes,
-            });
+            Self::forward_unmerged(&mut self.stats, waiter, addr, bytes, out);
             return;
         }
         port.occupancy += need;
@@ -370,6 +356,23 @@ impl MergeUnit {
         port.index.insert(addr, h);
         self.stats.sessions_opened += 1;
         self.stats.loads_forwarded += 1;
+        out.push(MergeAction::ForwardLoad {
+            waiter,
+            addr,
+            bytes,
+        });
+    }
+
+    /// Forwards a load to its home GPU without a session. The caller
+    /// counts why (`bypasses` or `degraded_bypasses`).
+    fn forward_unmerged(
+        stats: &mut MergeStats,
+        waiter: Waiter,
+        addr: Addr,
+        bytes: u64,
+        out: &mut Vec<MergeAction>,
+    ) {
+        stats.loads_forwarded += 1;
         out.push(MergeAction::ForwardLoad {
             waiter,
             addr,
@@ -413,7 +416,7 @@ impl MergeUnit {
         }
         entry.last_access = now;
         if entry.count + prior >= full {
-            Self::release(&mut self.stats, port, addr, full);
+            Self::release(&mut self.stats, port, addr);
         } else {
             // Cache the data for the stragglers — if it fits. Caching is
             // subject to the same table capacity; when it does not fit,
@@ -486,20 +489,13 @@ impl MergeUnit {
                     for gpu in &who {
                         out.push(MergeAction::GrantCredit { gpu: *gpu });
                     }
-                    Self::release(&mut self.stats, port, addr, full);
+                    Self::release(&mut self.stats, port, addr);
                 }
                 return;
             }
             // Address collides with a load session: bypass.
             self.stats.bypasses += 1;
-            self.stats.reduce_flushes += 1;
-            out.push(MergeAction::FlushReduce {
-                addr,
-                bytes,
-                contribs,
-                tile,
-            });
-            out.push(MergeAction::GrantCredit { gpu: src });
+            Self::flush_unmerged(&mut self.stats, addr, bytes, contribs, tile, src, out);
             return;
         }
 
@@ -507,28 +503,14 @@ impl MergeUnit {
         // return the credit, exactly like an unmergeable bypass.
         if port.degraded {
             self.stats.degraded_bypasses += 1;
-            self.stats.reduce_flushes += 1;
-            out.push(MergeAction::FlushReduce {
-                addr,
-                bytes,
-                contribs,
-                tile,
-            });
-            out.push(MergeAction::GrantCredit { gpu: src });
+            Self::flush_unmerged(&mut self.stats, addr, bytes, contribs, tile, src, out);
             return;
         }
 
-        let need = self.cfg.entry_overhead_bytes + bytes;
+        let need = ENTRY_OVERHEAD_BYTES + bytes;
         if !Self::make_room(&self.cfg, &mut self.stats, port, need, out) {
             self.stats.bypasses += 1;
-            self.stats.reduce_flushes += 1;
-            out.push(MergeAction::FlushReduce {
-                addr,
-                bytes,
-                contribs,
-                tile,
-            });
-            out.push(MergeAction::GrantCredit { gpu: src });
+            Self::flush_unmerged(&mut self.stats, addr, bytes, contribs, tile, src, out);
             return;
         }
         port.occupancy += need;
@@ -559,8 +541,30 @@ impl MergeUnit {
             });
             self.stats.reduce_flushes += 1;
             out.push(MergeAction::GrantCredit { gpu: src });
-            Self::release(&mut self.stats, port, addr, full);
+            Self::release(&mut self.stats, port, addr);
         }
+    }
+
+    /// Flushes a contribution straight to its home GPU without a session
+    /// and returns the contributor's credit. The caller counts why
+    /// (`bypasses` or `degraded_bypasses`).
+    fn flush_unmerged(
+        stats: &mut MergeStats,
+        addr: Addr,
+        bytes: u64,
+        contribs: u32,
+        tile: Option<TileId>,
+        src: GpuId,
+        out: &mut Vec<MergeAction>,
+    ) {
+        stats.reduce_flushes += 1;
+        out.push(MergeAction::FlushReduce {
+            addr,
+            bytes,
+            contribs,
+            tile,
+        });
+        out.push(MergeAction::GrantCredit { gpu: src });
     }
 
     /// True if any session is open on `plane`.
@@ -636,7 +640,6 @@ impl MergeUnit {
     /// unmerged NVLS-style forwarding path for all future sessions.
     pub fn inject_entry_faults(
         &mut self,
-        _now: SimTime,
         plane: PlaneId,
         rng: &mut JitterRng,
         out: &mut Vec<MergeAction>,
@@ -749,7 +752,7 @@ impl MergeUnit {
     }
 
     /// Releases a *completed* session (full participation reached).
-    fn release(stats: &mut MergeStats, port: &mut Port, addr: Addr, _full: u32) {
+    fn release(stats: &mut MergeStats, port: &mut Port, addr: Addr) {
         stats.sessions_closed += 1;
         port.history.remove(&addr);
         let h = port.index.remove(&addr).expect("releasing live entry");
@@ -870,7 +873,6 @@ mod tests {
         MergeUnit::new(MergeConfig {
             n_gpus: n,
             table_bytes_per_port: cap,
-            entry_overhead_bytes: 16,
             timeout: SimDuration::from_us(100),
             entry_fault_rate: 0.0,
             degrade_threshold: 4,
@@ -881,7 +883,6 @@ mod tests {
         MergeUnit::new(MergeConfig {
             n_gpus: n,
             table_bytes_per_port: None,
-            entry_overhead_bytes: 16,
             timeout: SimDuration::from_us(100),
             entry_fault_rate: rate,
             degrade_threshold: threshold,
@@ -1208,7 +1209,7 @@ mod tests {
         m.on_load_req(t(2), PLANE, addr, 4096, waiter(1), &mut out);
         out.clear();
         let mut rng = JitterRng::seed_from(7);
-        m.inject_entry_faults(t(3), PLANE, &mut rng, &mut out);
+        m.inject_entry_faults(PLANE, &mut rng, &mut out);
         assert_eq!(m.stats().entry_faults, 1);
         assert_eq!(
             out.iter()
@@ -1244,7 +1245,7 @@ mod tests {
         );
         out.clear();
         let mut rng = JitterRng::seed_from(7);
-        m.inject_entry_faults(t(2), PLANE, &mut rng, &mut out);
+        m.inject_entry_faults(PLANE, &mut rng, &mut out);
         assert!(
             out.iter()
                 .any(|a| matches!(a, MergeAction::FlushReduce { contribs: 1, .. })),
@@ -1268,7 +1269,7 @@ mod tests {
         m.on_reduce(t(1), PLANE, a1, 1024, GpuId(1), 1, None, &mut out);
         m.on_reduce(t(1), PLANE, a2, 1024, GpuId(2), 1, None, &mut out);
         let mut rng = JitterRng::seed_from(7);
-        m.inject_entry_faults(t(2), PLANE, &mut rng, &mut out);
+        m.inject_entry_faults(PLANE, &mut rng, &mut out);
         assert_eq!(m.stats().entry_faults, 2);
         assert_eq!(m.stats().degraded_ports, 1);
         // New reduce contributions flush straight through with a credit.
@@ -1301,7 +1302,7 @@ mod tests {
         let mut rng = JitterRng::seed_from(7);
         let before = rng.next_u64();
         let mut rng = JitterRng::seed_from(7);
-        m.inject_entry_faults(t(2), PLANE, &mut rng, &mut out);
+        m.inject_entry_faults(PLANE, &mut rng, &mut out);
         assert_eq!(m.stats().entry_faults, 0);
         assert!(m.has_entries(), "entry untouched");
         assert_eq!(rng.next_u64(), before, "no RNG draws at rate 0");

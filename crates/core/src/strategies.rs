@@ -32,11 +32,10 @@ use crate::coordination::{coordinate_row, CoordinationOpts};
 use crate::dataflow::{self, Stage};
 use crate::index::Expr;
 use crate::logic::CaisLogic;
-use crate::merge::MergeConfig;
-use cais_engine::{
-    lower::GemmLowering, IdAlloc, Msg, PlannedKernel, Program, Strategy, SystemConfig,
-};
-use gpu_sim::{KernelCost, KernelDesc, MemOp, MemOpKind, Phase, ReadyPolicy, TbDesc};
+use crate::merge::{MergeConfig, ENTRY_OVERHEAD_BYTES};
+use cais_engine::lower::{push_kernel, GemmLowering, Launch};
+use cais_engine::{IdAlloc, Msg, Program, Strategy, SystemConfig};
+use gpu_sim::{KernelCost, MemOp, MemOpKind, Phase, ReadyPolicy, TbDesc};
 use llm_workload::{CollKind, Dfg, NodeId, NodeKind};
 use noc_sim::SwitchLogic;
 use sim_core::{GpuId, KernelId, SimDuration, TileId};
@@ -151,7 +150,7 @@ impl CaisStrategy {
     pub fn merge_table_capacity(&self) -> Option<u64> {
         match self.merge_table_bytes {
             Some(explicit) => explicit,
-            None => Some(MERGE_TABLE_ENTRIES * (self.cais_packet_bytes + 16)),
+            None => Some(MERGE_TABLE_ENTRIES * (self.cais_packet_bytes + ENTRY_OVERHEAD_BYTES)),
         }
     }
 
@@ -189,10 +188,28 @@ struct LowerCtx<'a> {
     ids: IdAlloc,
     low: GemmLowering,
     prog: Program,
-    /// Last stage's output kernel per GPU (local chaining).
-    prev_local: Vec<Option<KernelId>>,
-    /// Last stage's output kernels on all GPUs (global barriers).
-    prev_all: Vec<KernelId>,
+    /// The last lowered stage's output kernels.
+    prev: PrevStage,
+}
+
+/// The kernels the next stage launches after.
+struct PrevStage {
+    /// Output kernel per GPU (local chaining).
+    local: Vec<Option<KernelId>>,
+    /// Output kernels on all GPUs (global barriers).
+    all: Vec<KernelId>,
+}
+
+impl PrevStage {
+    /// Launch dependencies of `gpu`'s next kernel: its own previous
+    /// kernel when `fused`, else every GPU's (a global barrier).
+    fn after(&self, gpu: usize, fused: bool) -> Vec<KernelId> {
+        if fused {
+            self.local[gpu].into_iter().collect()
+        } else {
+            self.all.clone()
+        }
+    }
 }
 
 impl<'a> LowerCtx<'a> {
@@ -200,37 +217,10 @@ impl<'a> LowerCtx<'a> {
         self.cfg.n_gpus
     }
 
-    fn after_for(&self, gpu: usize, fused: bool) -> Vec<KernelId> {
-        if fused {
-            self.prev_local[gpu].into_iter().collect()
-        } else {
-            self.prev_all.clone()
-        }
-    }
-
-    fn push_kernel(
-        &mut self,
-        gpu: usize,
-        name: &str,
-        tbs: Vec<TbDesc>,
-        after: Vec<KernelId>,
-        auto_ready: bool,
-    ) -> KernelId {
-        let kid = self.ids.kernel();
-        let mut desc = KernelDesc::new(kid, name.to_string(), tbs);
-        desc.tbs_auto_ready = auto_ready;
-        self.prog.push(PlannedKernel {
-            gpu: GpuId(gpu as u16),
-            desc,
-            after,
-        });
-        kid
-    }
-
     fn set_stage_output(&mut self, per_gpu: Vec<KernelId>) {
-        self.prev_all = per_gpu.clone();
+        self.prev.all = per_gpu.clone();
         for (g, k) in per_gpu.into_iter().enumerate() {
-            self.prev_local[g] = Some(k);
+            self.prev.local[g] = Some(k);
         }
     }
 }
@@ -260,14 +250,16 @@ impl Strategy for CaisStrategy {
             ids: IdAlloc::new(cfg.n_gpus),
             low: GemmLowering::new(KernelCost::new(&cfg.gpu), cfg.tile, dfg.elem_bytes),
             prog: Program::new(),
-            prev_local: vec![None; cfg.n_gpus],
-            prev_all: Vec::new(),
+            prev: PrevStage {
+                local: vec![None; cfg.n_gpus],
+                all: Vec::new(),
+            },
         };
         for stage in &plan.stages {
             match stage {
                 Stage::Node(id) => self.lower_node(&mut ctx, dfg, *id),
-                Stage::GatherGemm { gather, consumer } => {
-                    self.lower_gather_gemm(&mut ctx, dfg, *gather, *consumer)
+                Stage::GatherGemm { consumer, .. } => {
+                    self.lower_gather_gemm(&mut ctx, dfg, *consumer)
                 }
                 Stage::Pipeline {
                     producer,
@@ -293,7 +285,6 @@ impl Strategy for CaisStrategy {
         let merge_cfg = MergeConfig {
             n_gpus: cfg.n_gpus,
             table_bytes_per_port: self.merge_table_capacity(),
-            entry_overhead_bytes: 16,
             timeout: self.timeout,
             entry_fault_rate,
             degrade_threshold,
@@ -310,25 +301,14 @@ impl CaisStrategy {
             self.lower_standalone_collective(ctx, dfg, &node.name, *kind, *rows, *cols);
             return;
         }
-        let mut out = Vec::with_capacity(ctx.p());
-        for g in 0..ctx.p() {
-            let kid = ctx.ids.kernel();
-            let desc = ctx.low.plain_compute_kernel(
-                &mut ctx.ids,
-                kid,
-                &node.name,
-                GpuId(g as u16),
-                &node.kind,
-                ctx.cfg.gpu.sm_count,
-            );
-            let after = ctx.after_for(g, self.fused);
-            ctx.prog.push(PlannedKernel {
-                gpu: GpuId(g as u16),
-                desc,
-                after,
-            });
-            out.push(kid);
-        }
+        let out = ctx.low.compute_node(
+            &mut ctx.prog,
+            &mut ctx.ids,
+            ctx.cfg.n_gpus,
+            node,
+            ctx.cfg.gpu.sm_count,
+            |g| ctx.prev.after(g, self.fused),
+        );
         ctx.set_stage_output(out);
     }
 
@@ -355,21 +335,17 @@ impl CaisStrategy {
                 // for AllReduce each GPU then ld.cais-gathers the rest.
                 for s in 0..p {
                     let owner = GpuId(s as u16);
-                    for (ci, (off, len)) in cais_engine::lower::chunk_ranges(shard, pkt)
+                    for (ci, (_off, len)) in cais_engine::lower::chunk_ranges(shard, pkt)
                         .into_iter()
                         .enumerate()
                     {
                         let addr = ctx.ids.addr(owner, len);
-                        let _ = off;
                         let tile = ctx.ids.tile();
                         ctx.prog.tile_expected.insert(tile, p as u32);
+                        let order_key = (s * 4096 + ci as u64) * 4;
                         let mut row: Vec<TbDesc> = (0..ctx.p())
-                            .map(|_g| TbDesc {
-                                id: ctx.ids.tb(),
-                                order_key: (s * 4096 + ci as u64) * 4,
-                                group: None,
-                                pre_launch_sync: false,
-                                phases: vec![
+                            .map(|_g| {
+                                let phases = vec![
                                     Phase::Compute(SimDuration::from_ns(200)),
                                     Phase::IssueMem {
                                         ops: vec![MemOp {
@@ -381,7 +357,8 @@ impl CaisStrategy {
                                         }],
                                         wait: false,
                                     },
-                                ],
+                                ];
+                                TbDesc::new(ctx.ids.tb(), order_key, phases)
                             })
                             .collect();
                         let mut refs: Vec<&mut TbDesc> = row.iter_mut().collect();
@@ -397,13 +374,11 @@ impl CaisStrategy {
                         // Owner-side waiter so the kernel completes when
                         // the reduction lands; gatherers for AllReduce.
                         let wid = ctx.ids.tb();
-                        per_gpu_tbs[owner.index()].push(TbDesc {
-                            id: wid,
-                            order_key: (s * 4096 + ci as u64) * 4 + 1,
-                            group: None,
-                            pre_launch_sync: false,
-                            phases: vec![Phase::Compute(SimDuration::from_ns(100))],
-                        });
+                        per_gpu_tbs[owner.index()].push(TbDesc::compute_only(
+                            wid,
+                            order_key + 1,
+                            SimDuration::from_ns(100),
+                        ));
                         ctx.prog.tb_ready_deps.insert(wid, vec![tile]);
                         if kind == CollKind::AllReduce {
                             for (g, gpu_tbs) in per_gpu_tbs.iter_mut().enumerate() {
@@ -412,22 +387,17 @@ impl CaisStrategy {
                                 }
                                 let lid = ctx.ids.tb();
                                 let gtile = ctx.ids.tile();
-                                gpu_tbs.push(TbDesc {
-                                    id: lid,
-                                    order_key: (s * 4096 + ci as u64) * 4 + 2,
-                                    group: None,
-                                    pre_launch_sync: false,
-                                    phases: vec![Phase::IssueMem {
-                                        ops: vec![MemOp {
-                                            kind: MemOpKind::RemoteLoad,
-                                            addr,
-                                            bytes: len,
-                                            cais: true,
-                                            tile: Some(gtile),
-                                        }],
-                                        wait: true,
+                                let load = Phase::IssueMem {
+                                    ops: vec![MemOp {
+                                        kind: MemOpKind::RemoteLoad,
+                                        addr,
+                                        bytes: len,
+                                        cais: true,
+                                        tile: Some(gtile),
                                     }],
-                                });
+                                    wait: true,
+                                };
+                                gpu_tbs.push(TbDesc::new(lid, order_key + 2, vec![load]));
                                 ctx.prog.tb_ready_deps.insert(lid, vec![tile]);
                             }
                         }
@@ -448,22 +418,17 @@ impl CaisStrategy {
                                 continue;
                             }
                             let lid = ctx.ids.tb();
-                            gpu_tbs.push(TbDesc {
-                                id: lid,
-                                order_key: s * 4096 + ci as u64,
-                                group: None,
-                                pre_launch_sync: false,
-                                phases: vec![Phase::IssueMem {
-                                    ops: vec![MemOp {
-                                        kind: MemOpKind::RemoteLoad,
-                                        addr,
-                                        bytes: len,
-                                        cais: true,
-                                        tile: Some(tile),
-                                    }],
-                                    wait: true,
+                            let load = Phase::IssueMem {
+                                ops: vec![MemOp {
+                                    kind: MemOpKind::RemoteLoad,
+                                    addr,
+                                    bytes: len,
+                                    cais: true,
+                                    tile: Some(tile),
                                 }],
-                            });
+                                wait: true,
+                            };
+                            gpu_tbs.push(TbDesc::new(lid, s * 4096 + ci as u64, vec![load]));
                             ctx.prog.tb_ready_deps.insert(lid, vec![]);
                         }
                     }
@@ -472,30 +437,37 @@ impl CaisStrategy {
         }
         let mut out = Vec::with_capacity(ctx.p());
         for (g, tbs) in per_gpu_tbs.into_iter().enumerate() {
-            let after = ctx.after_for(g, false);
+            let after = ctx.prev.after(g, false);
             // Dependency-gated kernels need every TB in the ready map
             // (an absent entry would never become dispatchable).
             for tb in &tbs {
                 ctx.prog.tb_ready_deps.entry(tb.id).or_default();
             }
-            let kid = ctx.push_kernel(g, &format!("coll.{name}"), tbs, after, false);
-            out.push(kid);
+            let kname = format!("coll.{name}");
+            out.push(push_kernel(
+                &mut ctx.prog,
+                &mut ctx.ids,
+                g,
+                kname,
+                tbs,
+                after,
+                Launch::GATED,
+            ));
         }
         ctx.set_stage_output(out);
     }
 
     /// AllGather feeding a GEMM: gathered operand rows are pulled with
     /// `ld.cais` by the consuming GEMM's thread blocks.
-    fn lower_gather_gemm(&self, ctx: &mut LowerCtx, dfg: &Dfg, gather: NodeId, consumer: NodeId) {
+    fn lower_gather_gemm(&self, ctx: &mut LowerCtx, dfg: &Dfg, consumer: NodeId) {
         let NodeKind::Gemm { m, n, k } = dfg.node(consumer).kind else {
             panic!("GatherGemm consumer must be a GEMM");
         };
         let name = dfg.node(consumer).name.clone();
-        let _ = gather;
         // Remote reads require the producer data to exist on every GPU:
         // global barrier on the previous stage (the communication-centric
         // boundary CAIS cannot remove without tiles from the producer).
-        let after_all = ctx.prev_all.clone();
+        let after_all = ctx.prev.all.clone();
         let out = self.emit_ag_gemm_kernels(ctx, &name, m, n, k, None, after_all);
         ctx.set_stage_output(out);
     }
@@ -574,18 +546,15 @@ impl CaisStrategy {
                     })
                     .collect();
                 let mut row: Vec<TbDesc> = (0..ctx.p())
-                    .map(|_g| TbDesc {
-                        id: ctx.ids.tb(),
-                        order_key: mi * n_nb + ni,
-                        group: None,
-                        pre_launch_sync: false,
-                        phases: vec![
+                    .map(|_g| {
+                        let phases = vec![
                             Phase::Compute(t_compute),
                             Phase::IssueMem {
                                 ops: ops.clone(),
                                 wait: false,
                             },
-                        ],
+                        ];
+                        TbDesc::new(ctx.ids.tb(), mi * n_nb + ni, phases)
                     })
                     .collect();
                 let mut refs: Vec<&mut TbDesc> = row.iter_mut().collect();
@@ -603,8 +572,17 @@ impl CaisStrategy {
         let producer_name = format!("gemm.{}", dfg.node(producer).name);
         let mut producer_kids = Vec::with_capacity(ctx.p());
         for (g, tbs) in producer_tbs.into_iter().enumerate() {
-            let after = ctx.after_for(g, self.fused);
-            producer_kids.push(ctx.push_kernel(g, &producer_name, tbs, after, true));
+            let after = ctx.prev.after(g, self.fused);
+            let kid = push_kernel(
+                &mut ctx.prog,
+                &mut ctx.ids,
+                g,
+                producer_name.as_str(),
+                tbs,
+                after,
+                Launch::READY,
+            );
+            producer_kids.push(kid);
         }
 
         // ---- middle (shard-local LN / elementwise) -------------------
@@ -653,20 +631,15 @@ impl CaisStrategy {
                         tile: Some(mid_tiles[mi as usize]),
                     })
                     .collect();
-                let tb = TbDesc {
-                    id: ctx.ids.tb(),
-                    order_key: mi,
-                    group: None,
-                    pre_launch_sync: false,
-                    phases: vec![
-                        Phase::Compute(mid_time_per_row * m_len),
-                        Phase::SignalTile(mid_tiles[mi as usize]),
-                        Phase::IssueMem {
-                            ops: notify_ops,
-                            wait: false,
-                        },
-                    ],
-                };
+                let phases = vec![
+                    Phase::Compute(mid_time_per_row * m_len),
+                    Phase::SignalTile(mid_tiles[mi as usize]),
+                    Phase::IssueMem {
+                        ops: notify_ops,
+                        wait: false,
+                    },
+                ];
+                let tb = TbDesc::new(ctx.ids.tb(), mi, phases);
                 let deps = if self.fused {
                     red_tiles[mi as usize].clone()
                 } else {
@@ -693,12 +666,21 @@ impl CaisStrategy {
             for (g, tbs) in mid_tbs.into_iter().enumerate() {
                 let after = if self.fused {
                     // Launched alongside the producer; tiles gate TBs.
-                    ctx.prev_local[g].into_iter().collect()
+                    ctx.prev.local[g].into_iter().collect()
                 } else {
                     // Coarse phase boundary: all producers done everywhere.
                     producer_kids.clone()
                 };
-                mid_kids.push(ctx.push_kernel(g, &mid_name, tbs, after, false));
+                let kid = push_kernel(
+                    &mut ctx.prog,
+                    &mut ctx.ids,
+                    g,
+                    mid_name.as_str(),
+                    tbs,
+                    after,
+                    Launch::GATED,
+                );
+                mid_kids.push(kid);
             }
         }
 
@@ -707,11 +689,10 @@ impl CaisStrategy {
             let NodeKind::Gemm { m, n, k } = dfg.node(consumer).kind else {
                 panic!("pipeline consumer must be a GEMM");
             };
-            let _ = gather;
             let name = dfg.node(consumer).name.clone();
             let after = if self.fused {
                 (0..ctx.p())
-                    .map(|g| ctx.prev_local[g])
+                    .map(|g| ctx.prev.local[g])
                     .collect::<Vec<_>>()
                     .into_iter()
                     .flatten()
@@ -814,13 +795,7 @@ impl CaisStrategy {
                         }
                     }
                     phases.push(Phase::Compute(t_compute));
-                    let tb = TbDesc {
-                        id,
-                        order_key: mi * n_nb + ni,
-                        group: None,
-                        pre_launch_sync: false,
-                        phases,
-                    };
+                    let tb = TbDesc::new(id, mi * n_nb + ni, phases);
                     ctx.prog.tb_ready_deps.insert(id, deps);
                     if ni == 0 && g != owner.index() {
                         fetcher_row.push(tb);
@@ -852,7 +827,17 @@ impl CaisStrategy {
         let mut out = Vec::with_capacity(ctx.p());
         for (g, mut kernel_tbs) in tbs.into_iter().enumerate() {
             kernel_tbs.sort_by_key(|tb| tb.order_key);
-            out.push(ctx.push_kernel(g, &format!("gemm.{name}"), kernel_tbs, after.clone(), false));
+            let kname = format!("gemm.{name}");
+            let kid = push_kernel(
+                &mut ctx.prog,
+                &mut ctx.ids,
+                g,
+                kname,
+                kernel_tbs,
+                after.clone(),
+                Launch::GATED,
+            );
+            out.push(kid);
         }
         out
     }

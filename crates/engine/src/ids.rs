@@ -67,11 +67,6 @@ impl IdAlloc {
         *heap = aligned + bytes;
         Addr::new(gpu, aligned)
     }
-
-    /// Number of tiles allocated so far (diagnostics).
-    pub fn tiles_allocated(&self) -> u64 {
-        self.next_tile
-    }
 }
 
 #[cfg(test)]
@@ -87,7 +82,6 @@ mod tests {
         assert_eq!(a.tile(), TileId(0));
         assert_eq!(a.tile(), TileId(1));
         assert_eq!(a.group(), GroupId(0));
-        assert_eq!(a.tiles_allocated(), 2);
     }
 
     #[test]

@@ -1,15 +1,19 @@
-//! Shared lowering helpers: tiling math and simple kernel builders.
+//! Shared lowering: tiling math, the one kernel-emission path, and the
+//! lowering of plain compute nodes.
 //!
 //! Execution strategies lower [`Dfg`](llm_workload::Dfg) nodes into
 //! [`KernelDesc`]s. The per-strategy structure (which TBs issue which
 //! remote operations, how kernels chain) lives in the strategy crates;
-//! the tile geometry and roofline arithmetic shared by all of them live
-//! here.
+//! every kernel they emit goes through [`push_kernel`], and every
+//! communication-free compute node through
+//! [`GemmLowering::compute_node`]. The tile geometry and roofline
+//! arithmetic shared by all of them live here too.
 
 use crate::ids::IdAlloc;
-use gpu_sim::{KernelCost, KernelDesc, Phase, TbDesc};
-use llm_workload::NodeKind;
-use sim_core::{GpuId, KernelId, SimDuration};
+use crate::program::{PlannedKernel, Program};
+use gpu_sim::{KernelCost, KernelDesc, TbDesc};
+use llm_workload::{Node, NodeKind};
+use sim_core::{GpuId, KernelId, SimDuration, Symbol};
 
 /// Square output-tile geometry used to decompose GEMMs into TBs.
 #[derive(Debug, Clone, Copy)]
@@ -60,6 +64,66 @@ pub fn chunk_ranges(bytes: u64, chunk: u64) -> Vec<(u64, u64)> {
         .collect()
 }
 
+/// How a lowered kernel launches: the [`KernelDesc`] flags.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Launch {
+    /// Every TB is ready at launch ([`KernelDesc::tbs_auto_ready`]);
+    /// otherwise each TB waits for its `tb_ready_deps` tiles.
+    pub auto_ready: bool,
+    /// No host launch overhead ([`KernelDesc::fused_launch`]).
+    pub fused: bool,
+    /// Persistent-kernel dispatch in `order_key` order
+    /// ([`KernelDesc::ordered`]).
+    pub ordered: bool,
+}
+
+impl Launch {
+    /// Every TB ready at launch: plain compute kernels.
+    pub const READY: Launch = Launch {
+        auto_ready: true,
+        fused: false,
+        ordered: false,
+    };
+    /// TBs gated on their `tb_ready_deps` tiles.
+    pub const GATED: Launch = Launch {
+        auto_ready: false,
+        fused: false,
+        ordered: false,
+    };
+    /// A gated persistent communication kernel (ring / NVLS collectives).
+    pub const ORDERED: Launch = Launch {
+        auto_ready: false,
+        fused: false,
+        ordered: true,
+    };
+}
+
+/// Emits one kernel: allocates its id, builds its [`KernelDesc`] with the
+/// `launch` flags and schedules it on `gpu` after the `after` kernels.
+/// Returns the new kernel's id.
+pub fn push_kernel(
+    prog: &mut Program,
+    ids: &mut IdAlloc,
+    gpu: usize,
+    name: impl Into<Symbol>,
+    tbs: Vec<TbDesc>,
+    after: Vec<KernelId>,
+    launch: Launch,
+) -> KernelId {
+    prog.push(PlannedKernel {
+        gpu: GpuId(gpu as u16),
+        desc: KernelDesc {
+            id: ids.kernel(),
+            name: name.into(),
+            tbs,
+            tbs_auto_ready: launch.auto_ready,
+            fused_launch: launch.fused,
+            ordered: launch.ordered,
+        },
+        after,
+    })
+}
+
 /// Per-node lowering cost/geometry helper shared by all strategies.
 #[derive(Debug)]
 pub struct GemmLowering {
@@ -86,79 +150,66 @@ impl GemmLowering {
         self.cost.gemm_tile(m_len, n_len, k, self.elem)
     }
 
-    /// Duration of a whole compute node when executed as one dense grid,
-    /// assuming perfect SM packing (used for quick estimates/tests).
-    pub fn node_serial_time(&self, kind: &NodeKind) -> SimDuration {
-        match kind {
-            NodeKind::Gemm { m, n, k } => {
-                let mut total = SimDuration::ZERO;
-                for (_, ml) in self.tiling.ranges(*m) {
-                    for (_, nl) in self.tiling.ranges(*n) {
-                        total += self.gemm_tb_time(ml, nl, *k);
-                    }
-                }
-                total
-            }
-            NodeKind::AttentionCore { flops, bytes } => self.cost.tb_time(*flops, *bytes as f64),
-            NodeKind::LayerNorm { rows, cols } => {
-                self.cost.elementwise(rows * cols, self.elem, 8.0)
-            }
-            NodeKind::Elementwise {
-                rows,
-                cols,
-                flops_per_elem,
-            } => self
-                .cost
-                .elementwise(rows * cols, self.elem, *flops_per_elem),
-            NodeKind::Collective { .. } => SimDuration::ZERO,
-        }
+    /// Lowers a communication-free compute node into one kernel per GPU,
+    /// each a grid of pure-compute TBs sized by the node kind. GPU `g`'s
+    /// kernel launches after `after(g)`. Returns the kernel ids in GPU
+    /// order.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a collective node: collectives are lowered by
+    /// strategy-specific code.
+    pub fn compute_node(
+        &self,
+        prog: &mut Program,
+        ids: &mut IdAlloc,
+        n_gpus: usize,
+        node: &Node,
+        sm_count: usize,
+        mut after: impl FnMut(usize) -> Vec<KernelId>,
+    ) -> Vec<KernelId> {
+        (0..n_gpus)
+            .map(|g| {
+                let tbs = self.compute_tbs(ids, &node.kind, sm_count);
+                push_kernel(
+                    prog,
+                    ids,
+                    g,
+                    node.name.as_str(),
+                    tbs,
+                    after(g),
+                    Launch::READY,
+                )
+            })
+            .collect()
     }
 
-    /// Lowers a communication-free compute node into one kernel on `gpu`:
-    /// a grid of pure-compute TBs sized by the node kind.
-    pub fn plain_compute_kernel(
-        &self,
-        ids: &mut IdAlloc,
-        kid: KernelId,
-        name: &str,
-        _gpu: GpuId,
-        kind: &NodeKind,
-        sm_count: usize,
-    ) -> KernelDesc {
+    /// One GPU's grid for a compute node.
+    fn compute_tbs(&self, ids: &mut IdAlloc, kind: &NodeKind, sm_count: usize) -> Vec<TbDesc> {
         let mut tbs = Vec::new();
-        let mut order = 0u64;
+        let mut push = |ids: &mut IdAlloc, dur| {
+            let order = tbs.len() as u64;
+            tbs.push(TbDesc::compute_only(ids.tb(), order, dur));
+        };
         match kind {
             NodeKind::Gemm { m, n, k } => {
                 for (_, ml) in self.tiling.ranges(*m) {
                     for (_, nl) in self.tiling.ranges(*n) {
-                        tbs.push(TbDesc::compute_only(
-                            ids.tb(),
-                            order,
-                            self.gemm_tb_time(ml, nl, *k),
-                        ));
-                        order += 1;
+                        push(ids, self.gemm_tb_time(ml, nl, *k));
                     }
                 }
             }
             NodeKind::AttentionCore { flops, bytes } => {
                 // Spread across the device: one TB per SM.
-                let n = sm_count as u64;
-                let t = self
-                    .cost
-                    .tb_time(*flops / n as f64, *bytes as f64 / n as f64);
-                for _ in 0..n {
-                    tbs.push(TbDesc::compute_only(ids.tb(), order, t));
-                    order += 1;
+                let n = sm_count as f64;
+                let t = self.cost.tb_time(*flops / n, *bytes as f64 / n);
+                for _ in 0..sm_count {
+                    push(ids, t);
                 }
             }
             NodeKind::LayerNorm { rows, cols } => {
                 for (_, rl) in self.tiling.ranges(*rows) {
-                    tbs.push(TbDesc::compute_only(
-                        ids.tb(),
-                        order,
-                        self.cost.elementwise(rl * cols, self.elem, 8.0),
-                    ));
-                    order += 1;
+                    push(ids, self.cost.elementwise(rl * cols, self.elem, 8.0));
                 }
             }
             NodeKind::Elementwise {
@@ -167,34 +218,42 @@ impl GemmLowering {
                 flops_per_elem,
             } => {
                 for (_, rl) in self.tiling.ranges(*rows) {
-                    tbs.push(TbDesc::compute_only(
-                        ids.tb(),
-                        order,
+                    push(
+                        ids,
                         self.cost.elementwise(rl * cols, self.elem, *flops_per_elem),
-                    ));
-                    order += 1;
+                    );
                 }
             }
             NodeKind::Collective { .. } => {
                 panic!("collective nodes are lowered by strategy-specific code")
             }
         }
-        KernelDesc::new(kid, name, tbs)
-    }
-
-    /// Phase helper: a compute phase of the given length.
-    pub fn compute(&self, d: SimDuration) -> Phase {
-        Phase::Compute(d)
+        tbs
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gpu_sim::GpuConfig;
+    use gpu_sim::{GpuConfig, Phase};
 
     fn lowering() -> GemmLowering {
         GemmLowering::new(KernelCost::new(&GpuConfig::h100_half()), 128, 2)
+    }
+
+    fn lower_node(kind: NodeKind) -> Program {
+        let mut prog = Program::new();
+        let mut ids = IdAlloc::new(2);
+        let node = Node {
+            name: "node".into(),
+            kind,
+            deps: Vec::new(),
+        };
+        let kids = lowering().compute_node(&mut prog, &mut ids, 2, &node, 66, |g| {
+            vec![KernelId(100 + g as u32)]
+        });
+        assert_eq!(kids, vec![KernelId(0), KernelId(1)]);
+        prog
     }
 
     #[test]
@@ -218,77 +277,78 @@ mod tests {
 
     #[test]
     fn gemm_kernel_has_full_grid() {
-        let mut ids = IdAlloc::new(1);
-        let l = lowering();
-        let kid = ids.kernel();
-        let k = l.plain_compute_kernel(
-            &mut ids,
-            kid,
-            "gemm",
-            GpuId(0),
-            &NodeKind::Gemm {
-                m: 512,
-                n: 256,
-                k: 1024,
-            },
-            66,
-        );
-        assert_eq!(k.tbs.len(), 4 * 2);
-        assert!(k.total_compute() > SimDuration::ZERO);
+        let prog = lower_node(NodeKind::Gemm {
+            m: 512,
+            n: 256,
+            k: 1024,
+        });
+        assert_eq!(prog.kernels.len(), 2);
+        for (g, k) in prog.kernels.iter().enumerate() {
+            assert_eq!(k.gpu, GpuId(g as u16));
+            assert_eq!(k.after, vec![KernelId(100 + g as u32)]);
+            assert_eq!(k.desc.tbs.len(), 4 * 2);
+            assert!(k.desc.tbs_auto_ready);
+            for (i, tb) in k.desc.tbs.iter().enumerate() {
+                assert_eq!(tb.order_key, i as u64);
+                assert!(matches!(tb.phases.as_slice(),
+                    [Phase::Compute(d)] if *d > SimDuration::ZERO));
+            }
+        }
     }
 
     #[test]
     fn layernorm_kernel_rows() {
-        let mut ids = IdAlloc::new(1);
-        let l = lowering();
-        let kid = ids.kernel();
-        let k = l.plain_compute_kernel(
+        let prog = lower_node(NodeKind::LayerNorm {
+            rows: 1152,
+            cols: 4096,
+        });
+        assert_eq!(prog.kernels[0].desc.tbs.len(), 9);
+    }
+
+    #[test]
+    fn push_kernel_sets_launch_flags() {
+        let mut prog = Program::new();
+        let mut ids = IdAlloc::new(2);
+        let kid = push_kernel(
+            &mut prog,
             &mut ids,
-            kid,
-            "ln",
-            GpuId(0),
-            &NodeKind::LayerNorm {
-                rows: 1152,
-                cols: 4096,
-            },
-            66,
+            1,
+            "coll",
+            Vec::new(),
+            vec![],
+            Launch::ORDERED,
         );
-        assert_eq!(k.tbs.len(), 9);
+        let k = &prog.kernels[0];
+        assert_eq!(kid, KernelId(0));
+        assert_eq!(k.desc.id, kid);
+        assert_eq!(k.gpu, GpuId(1));
+        assert!(!k.desc.tbs_auto_ready);
+        assert!(k.desc.ordered);
+        assert!(!k.desc.fused_launch);
+    }
+
+    #[test]
+    fn serial_time_scales_with_work() {
+        let serial = |m| -> SimDuration {
+            let prog = lower_node(NodeKind::Gemm { m, n: 256, k: 1024 });
+            let tbs = &prog.kernels[0].desc.tbs;
+            tbs.iter()
+                .map(|tb| match tb.phases.as_slice() {
+                    [Phase::Compute(d)] => *d,
+                    other => panic!("compute-only TB expected, got {other:?}"),
+                })
+                .sum()
+        };
+        assert!(serial(512) > serial(256));
     }
 
     #[test]
     #[should_panic(expected = "collective nodes")]
     fn collective_nodes_rejected() {
-        let mut ids = IdAlloc::new(1);
-        let l = lowering();
-        let kid = ids.kernel();
-        let _ = l.plain_compute_kernel(
-            &mut ids,
-            kid,
-            "oops",
-            GpuId(0),
-            &NodeKind::Collective {
-                kind: llm_workload::CollKind::AllReduce,
-                rows: 1,
-                cols: 1,
-            },
-            66,
-        );
-    }
-
-    #[test]
-    fn serial_time_scales_with_work() {
-        let l = lowering();
-        let small = l.node_serial_time(&NodeKind::Gemm {
-            m: 256,
-            n: 256,
-            k: 1024,
+        lower_node(NodeKind::Collective {
+            kind: llm_workload::CollKind::AllReduce,
+            rows: 1,
+            cols: 1,
         });
-        let large = l.node_serial_time(&NodeKind::Gemm {
-            m: 512,
-            n: 256,
-            k: 1024,
-        });
-        assert!(large > small);
     }
 }

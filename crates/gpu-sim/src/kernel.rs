@@ -91,37 +91,21 @@ pub struct TbDesc {
 }
 
 impl TbDesc {
-    /// Creates a plain compute TB with no communication.
-    pub fn compute_only(id: TbId, order_key: u64, dur: SimDuration) -> TbDesc {
+    /// Creates an ungrouped TB (no CAIS group, no pre-launch sync) that
+    /// runs `phases` in order.
+    pub fn new(id: TbId, order_key: u64, phases: Vec<Phase>) -> TbDesc {
         TbDesc {
             id,
             order_key,
             group: None,
             pre_launch_sync: false,
-            phases: vec![Phase::Compute(dur)],
+            phases,
         }
     }
 
-    /// Sum of declared compute time (ignores jitter and blocking).
-    pub fn compute_time(&self) -> SimDuration {
-        self.phases
-            .iter()
-            .map(|p| match p {
-                Phase::Compute(d) => *d,
-                _ => SimDuration::ZERO,
-            })
-            .sum()
-    }
-
-    /// Total bytes this TB moves through the fabric.
-    pub fn remote_bytes(&self) -> u64 {
-        self.phases
-            .iter()
-            .map(|p| match p {
-                Phase::IssueMem { ops, .. } => ops.iter().map(|o| o.bytes).sum(),
-                _ => 0,
-            })
-            .sum()
+    /// Creates a plain compute TB with no communication.
+    pub fn compute_only(id: TbId, order_key: u64, dur: SimDuration) -> TbDesc {
+        TbDesc::new(id, order_key, vec![Phase::Compute(dur)])
     }
 }
 
@@ -162,11 +146,6 @@ impl KernelDesc {
             ordered: false,
         }
     }
-
-    /// Total declared compute time across TBs.
-    pub fn total_compute(&self) -> SimDuration {
-        self.tbs.iter().map(|tb| tb.compute_time()).sum()
-    }
 }
 
 #[cfg(test)]
@@ -174,14 +153,22 @@ mod tests {
     use super::*;
     use sim_core::GpuId;
 
+    fn compute(phases: &[Phase]) -> SimDuration {
+        phases
+            .iter()
+            .map(|p| match p {
+                Phase::Compute(d) => *d,
+                _ => SimDuration::ZERO,
+            })
+            .sum()
+    }
+
     #[test]
     fn tb_aggregates() {
-        let tb = TbDesc {
-            id: TbId(1),
-            order_key: 0,
-            group: None,
-            pre_launch_sync: false,
-            phases: vec![
+        let tb = TbDesc::new(
+            TbId(1),
+            7,
+            vec![
                 Phase::Compute(SimDuration::from_us(2)),
                 Phase::IssueMem {
                     ops: vec![MemOp {
@@ -195,9 +182,15 @@ mod tests {
                 },
                 Phase::Compute(SimDuration::from_us(3)),
             ],
-        };
-        assert_eq!(tb.compute_time(), SimDuration::from_us(5));
-        assert_eq!(tb.remote_bytes(), 4096);
+        );
+        assert_eq!((tb.id, tb.order_key), (TbId(1), 7));
+        assert_eq!(tb.group, None);
+        assert!(!tb.pre_launch_sync);
+        assert_eq!(compute(&tb.phases), SimDuration::from_us(5));
+        assert!(matches!(
+            &tb.phases[1],
+            Phase::IssueMem { ops, wait: true } if ops[0].bytes == 4096
+        ));
     }
 
     #[test]
@@ -206,8 +199,15 @@ mod tests {
             .map(|i| TbDesc::compute_only(TbId(i), i, SimDuration::from_us(1)))
             .collect();
         let k = KernelDesc::new(KernelId(0), "k", tbs);
-        assert_eq!(k.total_compute(), SimDuration::from_us(4));
+        let total: SimDuration = k.tbs.iter().map(|tb| compute(&tb.phases)).sum();
+        assert_eq!(total, SimDuration::from_us(4));
+        assert!(k
+            .tbs
+            .iter()
+            .enumerate()
+            .all(|(i, tb)| tb.order_key == i as u64));
         assert!(k.tbs_auto_ready);
         assert!(!k.fused_launch);
+        assert!(!k.ordered);
     }
 }

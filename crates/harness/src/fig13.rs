@@ -12,6 +12,7 @@
 
 use crate::runner::{Scale, Table};
 use crate::sweep::{self, SweepJob};
+use cais_core::merge::ENTRY_OVERHEAD_BYTES;
 use cais_core::strategies::DEFAULT_PACKET_BYTES;
 use cais_core::{CaisStrategy, CoordinationOpts};
 use cais_engine::strategy::execute;
@@ -36,7 +37,8 @@ pub fn run_table_size(scale: Scale, jobs: usize) -> Table {
     // Peak occupancy is measured in simulator bytes; report it on the
     // paper's axis by converting through entry counts (entry = one
     // packet-granularity session; the paper's entries are 128 B).
-    let to_paper_kb = |bytes: f64| bytes / (DEFAULT_PACKET_BYTES + 16) as f64 * 128.0 / 1024.0;
+    let to_paper_kb =
+        |bytes: f64| bytes / (DEFAULT_PACKET_BYTES + ENTRY_OVERHEAD_BYTES) as f64 * 128.0 / 1024.0;
     let mut table = Table::new(
         "fig13a",
         "minimal merge-table size to merge all requests (paper-equivalent KB/port)",

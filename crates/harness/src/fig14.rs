@@ -7,6 +7,7 @@
 
 use crate::runner::{Scale, Table};
 use crate::sweep::{self, SweepJob};
+use cais_core::merge::ENTRY_OVERHEAD_BYTES;
 use cais_core::strategies::DEFAULT_PACKET_BYTES;
 use cais_core::{CaisStrategy, CoordinationOpts};
 use cais_engine::strategy::execute;
@@ -17,7 +18,7 @@ use llm_workload::{sublayer, ModelConfig, SubLayer};
 /// granularity; see DESIGN.md).
 fn paper_kb_to_bytes(kb: u64) -> u64 {
     let entries = kb * 1024 / 128;
-    entries * (DEFAULT_PACKET_BYTES + 16)
+    entries * (DEFAULT_PACKET_BYTES + ENTRY_OVERHEAD_BYTES)
 }
 
 /// Runs the experiment: two sweep jobs (coordinated, uncoordinated) per

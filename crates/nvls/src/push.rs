@@ -5,38 +5,24 @@
 //! kernel-level (global) barriers, which is exactly the isolation CAIS
 //! removes.
 
-use crate::ring::{global_chunks, CollOutput, InputTiles};
-use cais_engine::{IdAlloc, PlannedKernel, Program, SystemConfig};
-use gpu_sim::{KernelCost, KernelDesc, MemOp, MemOpKind, Phase, TbDesc};
-use sim_core::{GpuId, KernelId, SimDuration, TileId};
+use crate::ring::{deps_for, global_chunks, CollOutput, InputTiles, KernelBuilder};
+use crate::ring::{ADD_STEP, COPY_STEP};
+use cais_engine::{IdAlloc, Program, SystemConfig};
+use gpu_sim::{MemOp, MemOpKind, Phase};
+use sim_core::{Addr, GpuId, KernelId, TileId};
 
-fn deps_for(input: Option<&InputTiles>, gpu: usize, gidx: usize) -> Vec<TileId> {
-    input
-        .map(|i| i[gpu].get(gidx).cloned().unwrap_or_default())
-        .unwrap_or_default()
-}
-
-fn finish_kernels(
-    prog: &mut Program,
-    ids: &mut IdAlloc,
-    name: &str,
-    after: &[KernelId],
-    tbs: Vec<Vec<TbDesc>>,
-) -> Vec<KernelId> {
-    let mut kernel_ids = Vec::new();
-    for (gpu, tbs) in tbs.into_iter().enumerate() {
-        let kid = ids.kernel();
-        kernel_ids.push(kid);
-        let mut desc = KernelDesc::new(kid, format!("coll.{name}.g{gpu}"), tbs);
-        desc.tbs_auto_ready = false;
-        desc.ordered = true;
-        prog.push(PlannedKernel {
-            gpu: GpuId(gpu as u16),
-            desc,
-            after: after.to_vec(),
-        });
+/// One `multimem` operation on `len` bytes at `addr`, landing `tile`.
+fn multimem(kind: MemOpKind, addr: Addr, len: u64, tile: TileId, wait: bool) -> Phase {
+    Phase::IssueMem {
+        ops: vec![MemOp {
+            kind,
+            addr,
+            bytes: len,
+            cais: false,
+            tile: Some(tile),
+        }],
+        wait,
     }
-    kernel_ids
 }
 
 /// NVLS AllGather via `multimem.st` push multicast.
@@ -48,7 +34,6 @@ pub fn nvls_all_gather(
     prog: &mut Program,
     ids: &mut IdAlloc,
     cfg: &SystemConfig,
-    _cost: &KernelCost,
     name: &str,
     bytes_full: u64,
     after: &[KernelId],
@@ -56,64 +41,27 @@ pub fn nvls_all_gather(
 ) -> CollOutput {
     let p = cfg.n_gpus;
     let chunks = global_chunks(bytes_full, p, cfg.coll_chunk_bytes);
-    let mut tbs: Vec<Vec<TbDesc>> = (0..p).map(|_| Vec::new()).collect();
-    let mut order = vec![0u64; p];
-    let mut out_tiles: Vec<Vec<TileId>> = (0..p).map(|_| Vec::new()).collect();
+    let mut kb = KernelBuilder::new(p);
     let mut chunk_arrivals: Vec<Vec<Option<TileId>>> = Vec::with_capacity(chunks.len());
 
     for (gidx, &(o, _off, len)) in chunks.iter().enumerate() {
         let tile = ids.tile();
-        for t in out_tiles.iter_mut() {
-            t.push(tile);
-        }
         chunk_arrivals.push(vec![Some(tile); p]);
         let addr = ids.addr(GpuId(o as u16), len);
         // Pusher TB on the origin: read the chunk, push it once, publish
         // the local copy.
-        let id = ids.tb();
-        tbs[o].push(TbDesc {
-            id,
-            order_key: order[o],
-            group: None,
-            pre_launch_sync: false,
-            phases: vec![
-                Phase::Compute(SimDuration::from_ns(200)),
-                Phase::IssueMem {
-                    ops: vec![MemOp {
-                        kind: MemOpKind::MulticastStore,
-                        addr,
-                        bytes: len,
-                        cais: false,
-                        tile: Some(tile),
-                    }],
-                    wait: false,
-                },
-                Phase::SignalTile(tile),
-            ],
-        });
-        order[o] += 1;
-        prog.tb_ready_deps.insert(id, deps_for(input, o, gidx));
-        // Waiter TBs on every other GPU so kernel completion means the
-        // gathered data arrived there.
-        for (g, ord) in order.iter_mut().enumerate() {
-            if g != o {
-                let wid = ids.tb();
-                tbs[g].push(TbDesc {
-                    id: wid,
-                    order_key: *ord,
-                    group: None,
-                    pre_launch_sync: false,
-                    phases: vec![Phase::Compute(SimDuration::from_ns(100))],
-                });
-                *ord += 1;
-                prog.tb_ready_deps.insert(wid, vec![tile]);
-            }
+        let phases = vec![
+            Phase::Compute(COPY_STEP),
+            multimem(MemOpKind::MulticastStore, addr, len, tile, false),
+            Phase::SignalTile(tile),
+        ];
+        kb.push(prog, ids, o, phases, deps_for(input, o, gidx));
+        for g in (0..p).filter(|&g| g != o) {
+            kb.wait(prog, ids, g, tile);
         }
     }
-    let kernel_ids = finish_kernels(prog, ids, name, after, tbs);
     CollOutput {
-        kernel_ids,
-        out_tiles,
+        kernel_ids: kb.finish(prog, ids, name, after),
         chunks,
         chunk_arrivals,
     }
@@ -128,7 +76,6 @@ pub fn nvls_reduce_scatter(
     prog: &mut Program,
     ids: &mut IdAlloc,
     cfg: &SystemConfig,
-    _cost: &KernelCost,
     name: &str,
     bytes_full: u64,
     after: &[KernelId],
@@ -136,47 +83,25 @@ pub fn nvls_reduce_scatter(
 ) -> CollOutput {
     let p = cfg.n_gpus;
     let chunks = global_chunks(bytes_full, p, cfg.coll_chunk_bytes);
-    let mut tbs: Vec<Vec<TbDesc>> = (0..p).map(|_| Vec::new()).collect();
-    let mut order = vec![0u64; p];
-    let mut out_tiles: Vec<Vec<TileId>> = (0..p).map(|_| Vec::new()).collect();
-
+    let mut kb = KernelBuilder::new(p);
     let mut chunk_arrivals: Vec<Vec<Option<TileId>>> = Vec::with_capacity(chunks.len());
+
     for (gidx, &(g, _off, len)) in chunks.iter().enumerate() {
         let tile = ids.tile();
-        out_tiles[g].push(tile);
         let mut arr: Vec<Option<TileId>> = vec![None; p];
         arr[g] = Some(tile);
         chunk_arrivals.push(arr);
         let addr = ids.addr(GpuId(g as u16), len);
-        let id = ids.tb();
-        tbs[g].push(TbDesc {
-            id,
-            order_key: order[g],
-            group: None,
-            pre_launch_sync: false,
-            phases: vec![
-                // Pull the reduced remote partials, then fold in the local
-                // partial.
-                Phase::IssueMem {
-                    ops: vec![MemOp {
-                        kind: MemOpKind::LoadReduce,
-                        addr,
-                        bytes: len,
-                        cais: false,
-                        tile: Some(tile),
-                    }],
-                    wait: true,
-                },
-                Phase::Compute(SimDuration::from_ns(400)),
-            ],
-        });
-        order[g] += 1;
-        prog.tb_ready_deps.insert(id, deps_for(input, g, gidx));
+        // Pull the reduced remote partials, then fold in the local
+        // partial.
+        let phases = vec![
+            multimem(MemOpKind::LoadReduce, addr, len, tile, true),
+            Phase::Compute(ADD_STEP),
+        ];
+        kb.push(prog, ids, g, phases, deps_for(input, g, gidx));
     }
-    let kernel_ids = finish_kernels(prog, ids, name, after, tbs);
     CollOutput {
-        kernel_ids,
-        out_tiles,
+        kernel_ids: kb.finish(prog, ids, name, after),
         chunks,
         chunk_arrivals,
     }
@@ -191,7 +116,6 @@ pub fn nvls_all_reduce(
     prog: &mut Program,
     ids: &mut IdAlloc,
     cfg: &SystemConfig,
-    _cost: &KernelCost,
     name: &str,
     bytes_full: u64,
     after: &[KernelId],
@@ -205,60 +129,27 @@ pub fn nvls_all_reduce(
             .into_iter()
             .map(|(off, len)| (0usize, off, len))
             .collect();
-    let mut tbs: Vec<Vec<TbDesc>> = (0..p).map(|_| Vec::new()).collect();
-    let mut order = vec![0u64; p];
-    let mut out_tiles: Vec<Vec<TileId>> = (0..p).map(|_| Vec::new()).collect();
-
+    let mut kb = KernelBuilder::new(p);
     let mut chunk_arrivals: Vec<Vec<Option<TileId>>> = Vec::with_capacity(chunks.len());
+
     for (gidx, &(_, _off, len)) in chunks.iter().enumerate() {
         let tile = ids.tile();
-        for t in out_tiles.iter_mut() {
-            t.push(tile);
-        }
         chunk_arrivals.push(vec![Some(tile); p]);
         // A multimem address: contributions from all GPUs converge on it.
         let addr = ids.addr(GpuId((gidx % p) as u16), len);
         for g in 0..p {
-            // Push TB: contribute the local partial (fire-and-forget).
-            let id = ids.tb();
-            tbs[g].push(TbDesc {
-                id,
-                order_key: order[g],
-                group: None,
-                pre_launch_sync: false,
-                phases: vec![
-                    Phase::Compute(SimDuration::from_ns(200)),
-                    Phase::IssueMem {
-                        ops: vec![MemOp {
-                            kind: MemOpKind::RemoteReduce,
-                            addr,
-                            bytes: len,
-                            cais: false,
-                            tile: Some(tile),
-                        }],
-                        wait: false,
-                    },
-                ],
-            });
-            order[g] += 1;
-            prog.tb_ready_deps.insert(id, deps_for(input, g, gidx));
-            // Waiter TB: the reduced result has landed on this GPU.
-            let wid = ids.tb();
-            tbs[g].push(TbDesc {
-                id: wid,
-                order_key: order[g],
-                group: None,
-                pre_launch_sync: false,
-                phases: vec![Phase::Compute(SimDuration::from_ns(100))],
-            });
-            order[g] += 1;
-            prog.tb_ready_deps.insert(wid, vec![tile]);
+            // Push TB: contribute the local partial (fire-and-forget),
+            // then a waiter for the reduced result landing on this GPU.
+            let phases = vec![
+                Phase::Compute(COPY_STEP),
+                multimem(MemOpKind::RemoteReduce, addr, len, tile, false),
+            ];
+            kb.push(prog, ids, g, phases, deps_for(input, g, gidx));
+            kb.wait(prog, ids, g, tile);
         }
     }
-    let kernel_ids = finish_kernels(prog, ids, name, after, tbs);
     CollOutput {
-        kernel_ids,
-        out_tiles,
+        kernel_ids: kb.finish(prog, ids, name, after),
         chunks,
         chunk_arrivals,
     }
@@ -268,9 +159,10 @@ pub fn nvls_all_reduce(
 mod tests {
     use super::*;
     use crate::logic::NvlsLogic;
+    use crate::ring::CollLowering;
     use cais_engine::{ExecReport, SystemSim};
-    use gpu_sim::GpuConfig;
     use noc_sim::Direction;
+    use sim_core::SimDuration;
 
     fn cfg(n: usize) -> SystemConfig {
         let mut c = SystemConfig::dgx_h100();
@@ -284,15 +176,11 @@ mod tests {
         c
     }
 
-    fn run_coll(
-        build: impl Fn(&mut Program, &mut IdAlloc, &SystemConfig, &KernelCost) -> CollOutput,
-        n: usize,
-    ) -> ExecReport {
+    fn run_coll(lower: CollLowering, bytes: u64, n: usize) -> ExecReport {
         let c = cfg(n);
-        let cost = KernelCost::new(&GpuConfig::h100_half());
         let mut prog = Program::new();
         let mut ids = IdAlloc::new(n);
-        build(&mut prog, &mut ids, &c, &cost);
+        lower(&mut prog, &mut ids, &c, "coll", bytes, &[], None);
         SystemSim::new(c, prog, Box::new(NvlsLogic::new(n)))
             .run()
             .expect("run completes")
@@ -302,10 +190,7 @@ mod tests {
     fn nvls_ag_pushes_each_shard_once() {
         let n = 4;
         let bytes = 4 * 256 * 1024u64;
-        let report = run_coll(
-            |p, ids, c, cost| nvls_all_gather(p, ids, c, cost, "ag", bytes, &[], None),
-            n,
-        );
+        let report = run_coll(nvls_all_gather, bytes, n);
         // Upstream: each shard crosses its origin's up-link exactly once.
         let up = report.fabric.bytes_dir(Direction::Up);
         let down = report.fabric.bytes_dir(Direction::Down);
@@ -324,10 +209,7 @@ mod tests {
     fn nvls_rs_is_upstream_heavy() {
         let n = 4;
         let bytes = 4 * 256 * 1024u64;
-        let report = run_coll(
-            |p, ids, c, cost| nvls_reduce_scatter(p, ids, c, cost, "rs", bytes, &[], None),
-            n,
-        );
+        let report = run_coll(nvls_reduce_scatter, bytes, n);
         let up = report.fabric.bytes_dir(Direction::Up);
         let down = report.fabric.bytes_dir(Direction::Down);
         // Up: (p-1) fetched contributions per shard; down: the reduced
@@ -342,10 +224,7 @@ mod tests {
     fn nvls_ar_halves_ring_traffic() {
         let n = 4;
         let bytes = 4 * 256 * 1024u64;
-        let report = run_coll(
-            |p, ids, c, cost| nvls_all_reduce(p, ids, c, cost, "ar", bytes, &[], None),
-            n,
-        );
+        let report = run_coll(nvls_all_reduce, bytes, n);
         let up = report.fabric.bytes_dir(Direction::Up);
         // Each GPU pushes the full tensor once: total up = p * bytes.
         let expect = bytes * n as u64;
@@ -360,15 +239,11 @@ mod tests {
     fn nvls_ar_is_faster_than_ring_ar() {
         let n = 4;
         let bytes = 16 * 1024 * 1024u64;
-        let nvls = run_coll(
-            |p, ids, c, cost| nvls_all_reduce(p, ids, c, cost, "ar", bytes, &[], None),
-            n,
-        );
+        let nvls = run_coll(nvls_all_reduce, bytes, n);
         let c = cfg(n);
-        let cost = KernelCost::new(&GpuConfig::h100_half());
         let mut prog = Program::new();
         let mut ids = IdAlloc::new(n);
-        crate::ring::ring_all_reduce(&mut prog, &mut ids, &c, &cost, "ar", bytes, &[], None);
+        crate::ring::ring_all_reduce(&mut prog, &mut ids, &c, "ar", bytes, &[], None);
         let ring = SystemSim::new(c, prog, Box::new(noc_sim::PureRouter))
             .run()
             .expect("run completes");

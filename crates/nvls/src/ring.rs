@@ -1,25 +1,39 @@
-//! GPU-driven ring collectives (the non-NVLS transport).
+//! GPU-driven ring collectives (the non-NVLS transport), and the kernel
+//! builder every ring and NVLS collective lowering shares.
 //!
 //! These reproduce NCCL-style ring schedules as communication kernels:
 //! chunks travel GPU-to-GPU through the switch (which only routes), with
 //! per-chunk dependencies so chunks pipeline across ring steps. Used by
 //! the CoCoNet / FuseLib / T3 / LADM baselines.
 
-use cais_engine::{IdAlloc, PlannedKernel, Program, SystemConfig};
-use gpu_sim::{KernelCost, KernelDesc, MemOp, MemOpKind, Phase, TbDesc};
-use sim_core::{GpuId, KernelId, SimDuration, TileId};
+use cais_engine::lower::{push_kernel, Launch};
+use cais_engine::{IdAlloc, Program, SystemConfig};
+use gpu_sim::{MemOp, MemOpKind, Phase, TbDesc};
+use sim_core::{Addr, GpuId, KernelId, SimDuration, TileId};
 
 /// Chunk-level input gating: `input[gpu][global_chunk]` lists the tiles
 /// that must be present on `gpu` before it contributes that chunk.
 pub type InputTiles = Vec<Vec<Vec<TileId>>>;
+
+/// The signature shared by the six collective lowerings (ring and NVLS
+/// AllGather / ReduceScatter / AllReduce): program, id allocator, system
+/// config, kernel name, tensor bytes, launch dependencies and optional
+/// chunk-level input gating.
+pub type CollLowering = fn(
+    &mut Program,
+    &mut IdAlloc,
+    &SystemConfig,
+    &str,
+    u64,
+    &[KernelId],
+    Option<&InputTiles>,
+) -> CollOutput;
 
 /// Result of lowering one collective.
 #[derive(Debug, Clone)]
 pub struct CollOutput {
     /// One kernel per GPU (sender + waiter TBs).
     pub kernel_ids: Vec<KernelId>,
-    /// Per GPU: tiles that mark that GPU's share of the output complete.
-    pub out_tiles: Vec<Vec<TileId>>,
     /// Chunk geometry used: `(shard, offset_in_shard, len)` per global
     /// chunk, shared with producers that want chunk-level overlap.
     pub chunks: Vec<(usize, u64, u64)>,
@@ -45,39 +59,38 @@ pub fn global_chunks(bytes_full: u64, p: usize, chunk: u64) -> Vec<(usize, u64, 
     out
 }
 
-/// Per-hop copy cost for a comm TB. The wire serialization already
+/// Per-hop copy cost of a comm TB. The wire serialization already
 /// accounts for moving the bytes; this only models kernel-side staging,
 /// so it is a small fixed cost (NCCL-style persistent-kernel step).
-fn copy_time(_cost: &KernelCost, _len: u64) -> SimDuration {
-    SimDuration::from_ns(200)
-}
+pub(crate) const COPY_STEP: SimDuration = SimDuration::from_ns(200);
 
 /// Per-hop accumulate cost (elementwise add at HBM speed is trivially
 /// fast relative to the link; keep a small fixed charge).
-fn add_time(_cost: &KernelCost, _len: u64) -> SimDuration {
-    SimDuration::from_ns(400)
-}
+pub(crate) const ADD_STEP: SimDuration = SimDuration::from_ns(400);
 
-fn deps_for(input: Option<&InputTiles>, gpu: usize, gidx: usize) -> Vec<TileId> {
+/// The tiles gating `gpu`'s contribution of global chunk `gidx`.
+pub(crate) fn deps_for(input: Option<&InputTiles>, gpu: usize, gidx: usize) -> Vec<TileId> {
     input
         .map(|i| i[gpu].get(gidx).cloned().unwrap_or_default())
         .unwrap_or_default()
 }
 
-struct KernelBuilder {
+/// Builds one collective's kernels: per GPU, one persistent kernel whose
+/// TBs dispatch in push order, each gated on its own ready tiles.
+pub(crate) struct KernelBuilder {
     tbs: Vec<Vec<TbDesc>>,
-    order: Vec<u64>,
 }
 
 impl KernelBuilder {
-    fn new(p: usize) -> KernelBuilder {
+    pub(crate) fn new(p: usize) -> KernelBuilder {
         KernelBuilder {
             tbs: (0..p).map(|_| Vec::new()).collect(),
-            order: vec![0; p],
         }
     }
 
-    fn push(
+    /// Appends a TB running `phases` to `gpu`'s kernel, ready once the
+    /// `deps` tiles are present.
+    pub(crate) fn push(
         &mut self,
         prog: &mut Program,
         ids: &mut IdAlloc,
@@ -86,39 +99,50 @@ impl KernelBuilder {
         deps: Vec<TileId>,
     ) {
         let id = ids.tb();
-        let order_key = self.order[gpu];
-        self.order[gpu] += 1;
-        self.tbs[gpu].push(TbDesc {
-            id,
-            order_key,
-            group: None,
-            pre_launch_sync: false,
-            phases,
-        });
+        let tbs = &mut self.tbs[gpu];
+        tbs.push(TbDesc::new(id, tbs.len() as u64, phases));
         prog.tb_ready_deps.insert(id, deps);
     }
 
-    fn finish(
+    /// Appends a waiter TB to `gpu`'s kernel, so the kernel completes only
+    /// once `tile` has landed there, not merely once its sends issued.
+    pub(crate) fn wait(&mut self, prog: &mut Program, ids: &mut IdAlloc, gpu: usize, tile: TileId) {
+        let phases = vec![Phase::Compute(SimDuration::from_ns(100))];
+        self.push(prog, ids, gpu, phases, vec![tile]);
+    }
+
+    /// Emits the kernels, one per GPU in GPU order, each launching after
+    /// `after`.
+    pub(crate) fn finish(
         self,
         prog: &mut Program,
         ids: &mut IdAlloc,
         name: &str,
         after: &[KernelId],
     ) -> Vec<KernelId> {
-        let mut kernel_ids = Vec::new();
-        for (gpu, tbs) in self.tbs.into_iter().enumerate() {
-            let kid = ids.kernel();
-            kernel_ids.push(kid);
-            let mut desc = KernelDesc::new(kid, format!("coll.{name}.g{gpu}"), tbs);
-            desc.tbs_auto_ready = false;
-            desc.ordered = true;
-            prog.push(PlannedKernel {
-                gpu: GpuId(gpu as u16),
-                desc,
-                after: after.to_vec(),
-            });
-        }
-        kernel_ids
+        self.tbs
+            .into_iter()
+            .enumerate()
+            .map(|(gpu, tbs)| {
+                let kname = format!("coll.{name}.g{gpu}");
+                push_kernel(prog, ids, gpu, kname, tbs, after.to_vec(), Launch::ORDERED)
+            })
+            .collect()
+    }
+}
+
+/// A fire-and-forget write of `len` bytes at `addr`, publishing `tile`
+/// at the receiver.
+fn remote_write(addr: Addr, len: u64, tile: Option<TileId>) -> Phase {
+    Phase::IssueMem {
+        ops: vec![MemOp {
+            kind: MemOpKind::RemoteWrite,
+            addr,
+            bytes: len,
+            cais: false,
+            tile,
+        }],
+        wait: false,
     }
 }
 
@@ -132,7 +156,6 @@ pub fn ring_all_gather(
     prog: &mut Program,
     ids: &mut IdAlloc,
     cfg: &SystemConfig,
-    cost: &KernelCost,
     name: &str,
     bytes_full: u64,
     after: &[KernelId],
@@ -141,19 +164,11 @@ pub fn ring_all_gather(
     let p = cfg.n_gpus;
     let chunks = global_chunks(bytes_full, p, cfg.coll_chunk_bytes);
     let mut kb = KernelBuilder::new(p);
-    let mut out_tiles: Vec<Vec<TileId>> = (0..p).map(|_| Vec::new()).collect();
     let mut chunk_arrivals: Vec<Vec<Option<TileId>>> = Vec::with_capacity(chunks.len());
 
     for (gidx, &(o, _off, len)) in chunks.iter().enumerate() {
         // Arrival tile at each holder other than the origin.
-        let mut arrival: Vec<Option<TileId>> = vec![None; p];
-        for (g, slot) in arrival.iter_mut().enumerate() {
-            if g != o {
-                let t = ids.tile();
-                *slot = Some(t);
-                out_tiles[g].push(t);
-            }
-        }
+        let arrival: Vec<Option<TileId>> = (0..p).map(|g| (g != o).then(|| ids.tile())).collect();
         for s in 0..p - 1 {
             let sender = (o + s) % p;
             let receiver = (o + s + 1) % p;
@@ -163,45 +178,21 @@ pub fn ring_all_gather(
                 vec![arrival[sender].expect("non-origin holder has arrival tile")]
             };
             let addr = ids.addr(GpuId(receiver as u16), len);
-            kb.push(
-                prog,
-                ids,
-                sender,
-                vec![
-                    Phase::Compute(copy_time(cost, len)),
-                    Phase::IssueMem {
-                        ops: vec![MemOp {
-                            kind: MemOpKind::RemoteWrite,
-                            addr,
-                            bytes: len,
-                            cais: false,
-                            tile: arrival[receiver],
-                        }],
-                        wait: false,
-                    },
-                ],
-                deps,
-            );
+            let phases = vec![
+                Phase::Compute(COPY_STEP),
+                remote_write(addr, len, arrival[receiver]),
+            ];
+            kb.push(prog, ids, sender, phases, deps);
         }
-        // Waiter TBs: kernel completion on each GPU means its gathered
-        // data actually arrived, not merely that its sends were issued.
         for (g, t) in arrival.iter().enumerate() {
             if let Some(t) = t {
-                kb.push(
-                    prog,
-                    ids,
-                    g,
-                    vec![Phase::Compute(SimDuration::from_ns(100))],
-                    vec![*t],
-                );
+                kb.wait(prog, ids, g, *t);
             }
         }
         chunk_arrivals.push(arrival);
     }
-    let kernel_ids = kb.finish(prog, ids, name, after);
     CollOutput {
-        kernel_ids,
-        out_tiles,
+        kernel_ids: kb.finish(prog, ids, name, after),
         chunks,
         chunk_arrivals,
     }
@@ -215,7 +206,6 @@ pub fn ring_reduce_scatter(
     prog: &mut Program,
     ids: &mut IdAlloc,
     cfg: &SystemConfig,
-    cost: &KernelCost,
     name: &str,
     bytes_full: u64,
     after: &[KernelId],
@@ -224,7 +214,6 @@ pub fn ring_reduce_scatter(
     let p = cfg.n_gpus;
     let chunks = global_chunks(bytes_full, p, cfg.coll_chunk_bytes);
     let mut kb = KernelBuilder::new(p);
-    let mut out_tiles: Vec<Vec<TileId>> = (0..p).map(|_| Vec::new()).collect();
     let mut chunk_arrivals: Vec<Vec<Option<TileId>>> = Vec::with_capacity(chunks.len());
 
     for (gidx, &(t, _off, len)) in chunks.iter().enumerate() {
@@ -242,46 +231,21 @@ pub fn ring_reduce_scatter(
                 deps.push(arrival[sender].expect("mid-ring sender has arrival"));
             }
             let addr = ids.addr(GpuId(receiver as u16), len);
-            kb.push(
-                prog,
-                ids,
-                sender,
-                vec![
-                    Phase::Compute(add_time(cost, len)),
-                    Phase::IssueMem {
-                        ops: vec![MemOp {
-                            kind: MemOpKind::RemoteWrite,
-                            addr,
-                            bytes: len,
-                            cais: false,
-                            tile: Some(arr),
-                        }],
-                        wait: false,
-                    },
-                ],
-                deps,
-            );
+            let phases = vec![Phase::Compute(ADD_STEP), remote_write(addr, len, Some(arr))];
+            kb.push(prog, ids, sender, phases, deps);
         }
         // Final accumulation at the shard owner.
         let out = ids.tile();
-        out_tiles[t].push(out);
         let mut deps = deps_for(input, t, gidx);
         deps.push(arrival[t].expect("owner receives the running partial"));
-        kb.push(
-            prog,
-            ids,
-            t,
-            vec![Phase::Compute(add_time(cost, len)), Phase::SignalTile(out)],
-            deps,
-        );
+        let phases = vec![Phase::Compute(ADD_STEP), Phase::SignalTile(out)];
+        kb.push(prog, ids, t, phases, deps);
         let mut arr: Vec<Option<TileId>> = vec![None; p];
         arr[t] = Some(out);
         chunk_arrivals.push(arr);
     }
-    let kernel_ids = kb.finish(prog, ids, name, after);
     CollOutput {
-        kernel_ids,
-        out_tiles,
+        kernel_ids: kb.finish(prog, ids, name, after),
         chunks,
         chunk_arrivals,
     }
@@ -293,7 +257,6 @@ pub fn ring_all_reduce(
     prog: &mut Program,
     ids: &mut IdAlloc,
     cfg: &SystemConfig,
-    cost: &KernelCost,
     name: &str,
     bytes_full: u64,
     after: &[KernelId],
@@ -304,7 +267,6 @@ pub fn ring_all_reduce(
         prog,
         ids,
         cfg,
-        cost,
         &format!("{name}.rs"),
         bytes_full,
         after,
@@ -312,26 +274,19 @@ pub fn ring_all_reduce(
     );
     // Gate AG injection of shard o's chunks on the RS output at GPU o.
     let mut ag_input: InputTiles = (0..p).map(|_| vec![Vec::new(); rs.chunks.len()]).collect();
-    let mut per_shard_seen = vec![0usize; p];
     for (gidx, &(shard, _, _)) in rs.chunks.iter().enumerate() {
-        let tile = rs.out_tiles[shard][per_shard_seen[shard]];
-        per_shard_seen[shard] += 1;
+        let tile = rs.chunk_arrivals[gidx][shard].expect("RS output lands at the shard owner");
         ag_input[shard][gidx] = vec![tile];
     }
     let ag = ring_all_gather(
         prog,
         ids,
         cfg,
-        cost,
         &format!("{name}.ag"),
         bytes_full,
         after,
         Some(&ag_input),
     );
-    let mut out_tiles = rs.out_tiles;
-    for (g, tiles) in ag.out_tiles.into_iter().enumerate() {
-        out_tiles[g].extend(tiles);
-    }
     let mut kernel_ids = rs.kernel_ids;
     kernel_ids.extend(ag.kernel_ids);
     // After AllReduce every GPU holds every chunk: the shard owner via
@@ -349,7 +304,6 @@ pub fn ring_all_reduce(
         .collect();
     CollOutput {
         kernel_ids,
-        out_tiles,
         chunks: rs.chunks,
         chunk_arrivals,
     }
@@ -359,7 +313,6 @@ pub fn ring_all_reduce(
 mod tests {
     use super::*;
     use cais_engine::SystemSim;
-    use gpu_sim::GpuConfig;
     use noc_sim::{Direction, PureRouter};
 
     fn cfg(n: usize) -> SystemConfig {
@@ -374,16 +327,14 @@ mod tests {
         c
     }
 
-    fn run_coll(
-        build: impl Fn(&mut Program, &mut IdAlloc, &SystemConfig, &KernelCost) -> CollOutput,
-        n: usize,
-    ) -> (cais_engine::ExecReport, usize) {
+    /// Runs `lower` on `n` GPUs; also returns how many (chunk, GPU)
+    /// outputs the collective lands.
+    fn run_coll(lower: CollLowering, bytes: u64, n: usize) -> (cais_engine::ExecReport, usize) {
         let c = cfg(n);
-        let cost = KernelCost::new(&GpuConfig::h100_half());
         let mut prog = Program::new();
         let mut ids = IdAlloc::new(n);
-        let out = build(&mut prog, &mut ids, &c, &cost);
-        let n_tiles: usize = out.out_tiles.iter().map(|v| v.len()).sum();
+        let out = lower(&mut prog, &mut ids, &c, "coll", bytes, &[], None);
+        let n_tiles = out.chunk_arrivals.iter().flatten().flatten().count();
         (
             SystemSim::new(c, prog, Box::new(PureRouter))
                 .run()
@@ -406,10 +357,7 @@ mod tests {
     fn all_gather_completes_and_moves_expected_bytes() {
         let n = 4;
         let bytes = 4 * 256 * 1024u64;
-        let (report, tiles) = run_coll(
-            |p, ids, c, cost| ring_all_gather(p, ids, c, cost, "ag", bytes, &[], None),
-            n,
-        );
+        let (report, tiles) = run_coll(ring_all_gather, bytes, n);
         // Each GPU receives p-1 shards, 4 chunks each (256KiB/64KiB).
         assert_eq!(tiles, n * (n - 1) * 4);
         // Ring AG payload: every chunk crosses p-1 up-links.
@@ -426,10 +374,7 @@ mod tests {
     fn reduce_scatter_completes_with_own_shard_output() {
         let n = 4;
         let bytes = 4 * 300 * 1024u64;
-        let (report, tiles) = run_coll(
-            |p, ids, c, cost| ring_reduce_scatter(p, ids, c, cost, "rs", bytes, &[], None),
-            n,
-        );
+        let (report, tiles) = run_coll(ring_reduce_scatter, bytes, n);
         // Each GPU ends with its own shard's chunks: 300KiB / 64KiB = 5.
         assert_eq!(tiles, n * 5);
         let expect = bytes / n as u64 * (n as u64 - 1) * n as u64;
@@ -445,10 +390,7 @@ mod tests {
     fn all_reduce_moves_double_the_volume() {
         let n = 4;
         let bytes = 4 * 256 * 1024u64;
-        let (report, _) = run_coll(
-            |p, ids, c, cost| ring_all_reduce(p, ids, c, cost, "ar", bytes, &[], None),
-            n,
-        );
+        let (report, _) = run_coll(ring_all_reduce, bytes, n);
         let expect = 2 * bytes / n as u64 * (n as u64 - 1) * n as u64;
         let got = report.fabric.bytes_dir(Direction::Up);
         let ratio = got as f64 / expect as f64;

@@ -88,7 +88,6 @@ fn corrupted_merge_tally_yields_audit_violation_naming_merge() {
         MergeConfig {
             n_gpus: 2,
             table_bytes_per_port: None,
-            entry_overhead_bytes: 16,
             timeout: SimDuration::from_ms(10),
             entry_fault_rate: 0.0,
             degrade_threshold: 8,
