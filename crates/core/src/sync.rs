@@ -6,13 +6,14 @@
 //! one round trip (~0.5 µs in the paper's setup).
 
 use gpu_sim::SyncKind;
-use sim_core::{FastHash, GpuId, GroupId, SimDuration, SimTime};
-use std::collections::{HashMap, HashSet};
+use sim_core::{FastHash, GpuId, GroupId, SimDuration, SimTime, SmallVec};
+use std::collections::HashMap;
 
 /// Per-(group, kind) synchronization state.
 #[derive(Debug, Default)]
 struct SyncEntry {
-    arrived: HashSet<GpuId, FastHash>,
+    /// Distinct GPUs registered so far; inline up to 8 (one DGX node).
+    arrived: SmallVec<GpuId, 8>,
     first: Option<SimTime>,
 }
 
@@ -44,7 +45,9 @@ impl GroupSyncTable {
     ) -> bool {
         let entry = self.entries.entry((group, kind)).or_default();
         entry.first.get_or_insert(now);
-        entry.arrived.insert(gpu);
+        if !entry.arrived.contains(&gpu) {
+            entry.arrived.push(gpu);
+        }
         if entry.arrived.len() as u32 >= participants {
             let entry = self.entries.remove(&(group, kind)).expect("entry exists");
             self.releases += 1;

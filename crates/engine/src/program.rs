@@ -1,8 +1,8 @@
 //! The lowered program representation executed by [`SystemSim`](crate::SystemSim).
 
 use gpu_sim::KernelDesc;
-use sim_core::{GpuId, KernelId, TbId, TileId};
-use std::collections::{HashMap, HashSet};
+use sim_core::{DenseMap, DenseSet, GpuId, KernelId, TbId, TileId};
+use std::collections::HashMap;
 
 /// A kernel instance scheduled on one GPU with launch dependencies.
 #[derive(Debug, Clone)]
@@ -81,10 +81,11 @@ impl Program {
     ///
     /// Returns the first [`ProgramError`] found.
     pub fn validate(&self) -> Result<(), ProgramError> {
-        let mut kids = HashSet::new();
-        let mut tbs = HashSet::new();
-        for k in &self.kernels {
-            if !kids.insert(k.desc.id) {
+        // Kernel id -> position; doubles as the set of known kernels.
+        let mut index: DenseMap<KernelId, usize> = DenseMap::with_capacity(self.kernels.len());
+        let mut tbs: DenseSet<TbId> = DenseSet::with_capacity(self.total_tbs());
+        for (i, k) in self.kernels.iter().enumerate() {
+            if index.insert(k.desc.id, i).is_some() {
                 return Err(ProgramError::DuplicateKernel(k.desc.id));
             }
             for tb in &k.desc.tbs {
@@ -95,23 +96,17 @@ impl Program {
         }
         for k in &self.kernels {
             for dep in &k.after {
-                if !kids.contains(dep) {
+                if !index.contains_key(*dep) {
                     return Err(ProgramError::UnknownDep(*dep));
                 }
             }
         }
         // Kahn's algorithm over the `after` relation.
-        let index: HashMap<KernelId, usize> = self
-            .kernels
-            .iter()
-            .enumerate()
-            .map(|(i, k)| (k.desc.id, i))
-            .collect();
         let mut indeg: Vec<usize> = self.kernels.iter().map(|k| k.after.len()).collect();
         let mut children: Vec<Vec<usize>> = vec![Vec::new(); self.kernels.len()];
         for (i, k) in self.kernels.iter().enumerate() {
             for dep in &k.after {
-                children[index[dep]].push(i);
+                children[*index.get(*dep).expect("checked above")].push(i);
             }
         }
         let mut queue: Vec<usize> = indeg

@@ -26,6 +26,23 @@ struct TileEntry {
     ready_waiters: sim_core::SmallVec<TbId, 4>,
 }
 
+/// Where a TB runs: its GPU, and its slot in that GPU's TB table once
+/// its kernel has launched.
+#[derive(Debug, Clone, Copy)]
+struct TbLoc {
+    gpu: GpuId,
+    /// [`TbLoc::UNLAUNCHED`] until the kernel launches.
+    slot: u32,
+}
+
+impl TbLoc {
+    const UNLAUNCHED: u32 = u32::MAX;
+
+    fn launched(self) -> bool {
+        self.slot != TbLoc::UNLAUNCHED
+    }
+}
+
 #[derive(Debug, Default)]
 struct ThrottleState {
     outstanding: usize,
@@ -55,11 +72,10 @@ pub struct SystemSim<L: SwitchLogic<Msg>> {
     kernels_remaining: usize,
     kernel_spans: BTreeMap<KernelId, KernelSpan>,
 
-    tb_gpu: DenseMap<TbId, GpuId>,
+    tb_loc: DenseMap<TbId, TbLoc>,
     tb_blocked: DenseMap<TbId, usize>,
     tb_ready_remaining: DenseMap<TbId, usize>,
     ready_pending: DenseSet<TbId>,
-    launched_tbs: DenseSet<TbId>,
     tiles: Vec<DenseMap<TileId, TileEntry>>,
     tile_expected: DenseMap<TileId, u32>,
 
@@ -85,6 +101,8 @@ pub struct SystemSim<L: SwitchLogic<Msg>> {
     /// every cycle of the effect fixpoint.
     scratch_effects: Vec<(SimTime, GpuEffect)>,
     scratch_deliveries: Vec<Delivery<Msg>>,
+    /// Recycled list of a launching kernel's TB ids.
+    scratch_tbs: Vec<TbId>,
 }
 
 impl<L: SwitchLogic<Msg>> std::fmt::Debug for SystemSim<L> {
@@ -154,12 +172,18 @@ impl<L: SwitchLogic<Msg>> SystemSim<L> {
             .max()
             .unwrap_or(0);
 
-        let mut tb_gpu: DenseMap<TbId, GpuId> = DenseMap::with_capacity(n_tbs);
+        let mut tb_loc: DenseMap<TbId, TbLoc> = DenseMap::with_capacity(n_tbs);
         let mut group_participants = vec![0u32; n_groups];
         let mut group_on_gpu = vec![false; cfg.n_gpus * n_groups];
         for k in &program.kernels {
             for tb in &k.desc.tbs {
-                tb_gpu.insert(tb.id, k.gpu);
+                tb_loc.insert(
+                    tb.id,
+                    TbLoc {
+                        gpu: k.gpu,
+                        slot: TbLoc::UNLAUNCHED,
+                    },
+                );
                 if let Some(g) = tb.group {
                     let seen = &mut group_on_gpu[k.gpu.index() * n_groups + g.index()];
                     if !*seen {
@@ -192,9 +216,10 @@ impl<L: SwitchLogic<Msg>> SystemSim<L> {
         let mut ready_deps: Vec<(&TbId, &Vec<TileId>)> = program.tb_ready_deps.iter().collect();
         ready_deps.sort_by_key(|(tb, _)| **tb);
         for (tb, dep_tiles) in ready_deps {
-            let gpu = *tb_gpu
+            let gpu = tb_loc
                 .get(*tb)
-                .unwrap_or_else(|| panic!("ready dep for unknown TB {tb}"));
+                .unwrap_or_else(|| panic!("ready dep for unknown TB {tb}"))
+                .gpu;
             if dep_tiles.is_empty() {
                 // Dependency-gated kernel but this TB has no prerequisites:
                 // it is ready the moment its kernel launches.
@@ -229,11 +254,10 @@ impl<L: SwitchLogic<Msg>> SystemSim<L> {
             children,
             kernels_remaining,
             kernel_spans: BTreeMap::new(),
-            tb_gpu,
+            tb_loc,
             tb_blocked: DenseMap::with_capacity(n_tbs),
             tb_ready_remaining,
             ready_pending,
-            launched_tbs: DenseSet::with_capacity(n_tbs),
             tiles,
             tile_expected,
             preaccess_blocked: vec![Vec::new(); cfg.n_gpus * n_groups],
@@ -246,6 +270,7 @@ impl<L: SwitchLogic<Msg>> SystemSim<L> {
             last_audit_events: 0,
             scratch_effects: Vec::new(),
             scratch_deliveries: Vec::new(),
+            scratch_tbs: Vec::new(),
             cfg,
         }
     }
@@ -505,21 +530,30 @@ impl<L: SwitchLogic<Msg>> SystemSim<L> {
                 end: now,
             },
         );
-        for tb in &planned.desc.tbs {
-            self.launched_tbs.insert(tb.id);
+        let gpu = planned.gpu.index();
+        let mut tbs = std::mem::take(&mut self.scratch_tbs);
+        tbs.extend(planned.desc.tbs.iter().map(|tb| tb.id));
+        let first = self.gpus[gpu].launch_kernel(now, planned.desc);
+        for (slot, &tb) in (first..).zip(&tbs) {
+            let loc = self
+                .tb_loc
+                .get_mut(tb)
+                .expect("launched TB missing from the program");
+            assert!(!loc.launched(), "thread block {tb} launched twice");
+            loc.slot = slot;
+            if self.ready_pending.remove(tb) {
+                self.gpus[gpu].make_tb_ready(now, slot);
+            }
         }
-        let gpu = planned.gpu;
-        let ready_now: Vec<TbId> = planned
-            .desc
-            .tbs
-            .iter()
-            .map(|tb| tb.id)
-            .filter(|id| self.ready_pending.remove(*id))
-            .collect();
-        self.gpus[gpu.index()].launch_kernel(now, planned.desc);
-        for tb in ready_now {
-            self.gpus[gpu.index()].make_tb_ready(now, tb);
-        }
+        tbs.clear();
+        self.scratch_tbs = tbs;
+    }
+
+    /// Resumes a blocked TB on its GPU, addressed by its launch slot.
+    fn resume_tb(&mut self, now: SimTime, tb: TbId) {
+        let loc = *self.tb_loc.get(tb).expect("TB missing from the program");
+        debug_assert!(loc.launched(), "{tb} resumed before its kernel launched");
+        self.gpus[loc.gpu.index()].resume_tb(now, loc.slot);
     }
 
     // ---- tile state ----------------------------------------------------
@@ -546,9 +580,9 @@ impl<L: SwitchLogic<Msg>> SystemSim<L> {
                 .expect("ready waiter without counter");
             *rem -= 1;
             if *rem == 0 {
-                if self.launched_tbs.contains(tb) {
-                    let g = *self.tb_gpu.get(tb).expect("waiter TB without a GPU");
-                    self.gpus[g.index()].make_tb_ready(now, tb);
+                let loc = *self.tb_loc.get(tb).expect("waiter TB without a GPU");
+                if loc.launched() {
+                    self.gpus[loc.gpu.index()].make_tb_ready(now, loc.slot);
                 } else {
                     self.ready_pending.insert(tb);
                 }
@@ -579,8 +613,7 @@ impl<L: SwitchLogic<Msg>> SystemSim<L> {
         *count -= 1;
         if *count == 0 {
             self.tb_blocked.remove(tb);
-            let g = *self.tb_gpu.get(tb).expect("blocked TB without a GPU");
-            self.gpus[g.index()].resume_tb(now, tb);
+            self.resume_tb(now, tb);
         }
     }
 
@@ -674,7 +707,7 @@ impl<L: SwitchLogic<Msg>> SystemSim<L> {
                     }
                 }
                 if missing == 0 {
-                    self.gpus[gpu.index()].resume_tb(t, tb);
+                    self.resume_tb(t, tb);
                 } else {
                     *self.tb_blocked.get_or_default(tb) += missing;
                 }
@@ -853,7 +886,7 @@ impl<L: SwitchLogic<Msg>> SystemSim<L> {
             }
         }
         if blocking && outstanding == 0 {
-            self.gpus[gpu.index()].resume_tb(t, tb);
+            self.resume_tb(t, tb);
         } else if blocking {
             *self.tb_blocked.get_or_default(tb) += outstanding;
         }
@@ -957,7 +990,7 @@ impl<L: SwitchLogic<Msg>> SystemSim<L> {
                         .map(std::mem::take)
                         .unwrap_or_default();
                     for tb in waiters {
-                        self.gpus[gpu.index()].resume_tb(t, tb);
+                        self.resume_tb(t, tb);
                     }
                 }
             },
@@ -994,7 +1027,7 @@ impl<L: SwitchLogic<Msg>> SystemSim<L> {
                     let live = self.gpus[s.gpu.index()]
                         .stuck_tbs()
                         .iter()
-                        .any(|tb| self.tb_gpu.get(*tb) == Some(&s.gpu));
+                        .any(|tb| self.tb_loc.get(*tb).map(|l| l.gpu) == Some(s.gpu));
                     (live).then(|| format!("incomplete {id} {} on {}", s.name, s.gpu))
                 }))
                 .take(12)

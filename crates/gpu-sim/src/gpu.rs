@@ -3,9 +3,11 @@
 use crate::config::{GpuConfig, ReadyPolicy};
 use crate::kernel::{KernelDesc, MemOp, Phase, SyncKind, TbDesc};
 use sim_core::rng::JitterRng;
-use sim_core::{EventQueue, FastHash, GroupId, KernelId, SimDuration, SimTime, TbId, TileId};
+use sim_core::{
+    DenseMap, DenseSet, EventQueue, GroupId, KernelId, SimDuration, SimTime, TbId, TileId,
+};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 /// An observable action produced by the GPU, drained by the engine.
@@ -14,6 +16,9 @@ pub enum GpuEffect {
     /// A TB issued remote memory operations. With `blocking`, the TB is
     /// now blocked and must be [`GpuSim::resume_tb`]-ed when the engine
     /// considers the operations complete.
+    ///
+    /// Effects name TBs by [`TbId`]; calls back into the GPU address them
+    /// by the slot [`GpuSim::launch_kernel`] assigned.
     MemIssued {
         /// Issuing TB.
         tb: TbId,
@@ -80,6 +85,8 @@ enum TbState {
     Done,
 }
 
+/// One launched TB, stored at its slot in [`GpuSim`]'s launch-ordered
+/// table.
 #[derive(Debug)]
 struct TbRuntime {
     desc: TbDesc,
@@ -96,15 +103,19 @@ struct TbRuntime {
 struct KernelRuntime {
     remaining: usize,
     ordered: bool,
+    /// The grid's TBs occupy slots `first..end`.
+    first: u32,
+    end: u32,
 }
 
+/// Internal events address TBs by slot.
 #[derive(Debug)]
 enum GpuEvent {
     KernelArmed(KernelId),
     /// A TB's readiness (including dispatch jitter) materialized.
-    ReadyAt(TbId),
+    ReadyAt(u32),
     /// The current phase of a TB completed; advance to the next.
-    PhaseDone(TbId),
+    PhaseDone(u32),
     /// Try to dispatch ready TBs onto free slots.
     Dispatch,
 }
@@ -115,6 +126,11 @@ enum GpuEvent {
 /// [`GpuSim::advance`] processes internal events up to a time, and
 /// [`GpuSim::drain_effects`] returns what happened so the engine can route
 /// memory traffic, resolve dependencies and synchronize groups.
+///
+/// TBs live in a table in launch order: a grid's TBs take consecutive
+/// *slots*, starting at the slot [`GpuSim::launch_kernel`] returns, and
+/// [`GpuSim::make_tb_ready`] / [`GpuSim::resume_tb`] address a TB by its
+/// slot, so no call hashes a [`TbId`].
 #[derive(Debug)]
 pub struct GpuSim {
     /// Shared, immutable configuration. An `Arc` so a multi-GPU system
@@ -122,9 +138,12 @@ pub struct GpuSim {
     cfg: Arc<GpuConfig>,
     now: SimTime,
     queue: EventQueue<GpuEvent>,
-    tbs: HashMap<TbId, TbRuntime, FastHash>,
-    kernels: HashMap<KernelId, KernelRuntime, FastHash>,
-    ready: BinaryHeap<Reverse<(u64, u64, TbId)>>,
+    /// Every launched TB, indexed by slot.
+    tbs: Vec<TbRuntime>,
+    kernels: DenseMap<KernelId, KernelRuntime>,
+    /// Ready TBs as `(key, seq, slot)`; `seq` is unique, so the slot never
+    /// decides the order.
+    ready: BinaryHeap<Reverse<(u64, u64, u32)>>,
     ready_seq: u64,
     /// Whether a [`GpuEvent::Dispatch`] is already queued. Every push
     /// site runs at the engine's current step time, so one pending
@@ -132,9 +151,12 @@ pub struct GpuSim {
     /// (which would drain an already-empty ready queue) is free.
     dispatch_pending: bool,
     slots_free: usize,
-    released_groups: HashSet<GroupId, FastHash>,
-    pending_group: HashMap<GroupId, Vec<TbId>, FastHash>,
+    released_groups: DenseSet<GroupId>,
+    /// Slots of TBs pending a pre-launch group release, by group.
+    pending_group: DenseMap<GroupId, Vec<u32>>,
     effects: Vec<(SimTime, GpuEffect)>,
+    /// Recycled buffer for the TBs a kernel arms, sorted before dispatch.
+    arming: Vec<(u64, TbId, u32)>,
     rng: JitterRng,
     // Slot-occupancy integral for utilization reporting.
     occupancy_integral_ps: u128,
@@ -153,15 +175,16 @@ impl GpuSim {
             cfg,
             now: SimTime::ZERO,
             queue: EventQueue::new(),
-            tbs: HashMap::default(),
-            kernels: HashMap::default(),
+            tbs: Vec::new(),
+            kernels: DenseMap::new(),
             ready: BinaryHeap::new(),
             ready_seq: 0,
             dispatch_pending: false,
             slots_free: slots,
-            released_groups: HashSet::default(),
-            pending_group: HashMap::default(),
+            released_groups: DenseSet::new(),
+            pending_group: DenseMap::new(),
             effects: Vec::new(),
+            arming: Vec::new(),
             rng: JitterRng::seed_from(seed),
             occupancy_integral_ps: 0,
             occupancy_last_change: SimTime::ZERO,
@@ -182,16 +205,21 @@ impl GpuSim {
     /// Launches `kernel` at `time`. TBs become ready after the launch
     /// overhead (unless the kernel is marked [`KernelDesc::fused_launch`]).
     ///
+    /// Returns the slot of the grid's first TB; the `i`-th TB of
+    /// `kernel.tbs` takes slot `first + i`.
+    ///
     /// # Panics
     ///
     /// Panics if `time` is in the past or the kernel id was already used.
-    pub fn launch_kernel(&mut self, time: SimTime, kernel: KernelDesc) {
+    pub fn launch_kernel(&mut self, time: SimTime, kernel: KernelDesc) -> u32 {
         assert!(time >= self.now, "cannot launch a kernel in the past");
         assert!(
-            !self.kernels.contains_key(&kernel.id),
+            !self.kernels.contains_key(kernel.id),
             "kernel {} launched twice",
             kernel.id
         );
+        let first = u32::try_from(self.tbs.len()).expect("TB slot overflow");
+        let end = u32::try_from(self.tbs.len() + kernel.tbs.len()).expect("TB slot overflow");
         let overhead = if kernel.fused_launch {
             SimDuration::ZERO
         } else {
@@ -202,6 +230,8 @@ impl GpuSim {
             KernelRuntime {
                 remaining: kernel.tbs.len(),
                 ordered: kernel.ordered,
+                first,
+                end,
             },
         );
         if kernel.tbs.is_empty() {
@@ -211,56 +241,58 @@ impl GpuSim {
                 GpuEffect::KernelCompleted { kernel: kernel.id },
             ));
         }
-        for tb in kernel.tbs {
-            let id = tb.id;
-            let prev = self.tbs.insert(
-                id,
-                TbRuntime {
-                    deps_ok: kernel.tbs_auto_ready,
-                    desc: tb,
-                    kernel: kernel.id,
-                    state: TbState::Waiting,
-                    armed: false,
-                    enqueued_or_pending: false,
-                    resume_phase: 0,
-                },
-            );
-            assert!(prev.is_none(), "thread block {id} registered twice");
-        }
+        self.tbs
+            .extend(kernel.tbs.into_iter().map(|desc| TbRuntime {
+                deps_ok: kernel.tbs_auto_ready,
+                desc,
+                kernel: kernel.id,
+                state: TbState::Waiting,
+                armed: false,
+                enqueued_or_pending: false,
+                resume_phase: 0,
+            }));
         self.queue
             .push(time + overhead, GpuEvent::KernelArmed(kernel.id));
+        first
     }
 
-    /// Marks a dependency-gated TB as ready (engine resolved its inputs).
+    /// Marks the dependency-gated TB at `slot` as ready (engine resolved
+    /// its inputs).
     ///
     /// # Panics
     ///
-    /// Panics if the TB is unknown.
-    pub fn make_tb_ready(&mut self, time: SimTime, tb: TbId) {
+    /// Panics if no TB was launched at `slot`.
+    pub fn make_tb_ready(&mut self, time: SimTime, slot: u32) {
         assert!(time >= self.now, "cannot mark ready in the past");
-        let rt = self.tbs.get_mut(&tb).expect("make_tb_ready: unknown TB");
+        let rt = self
+            .tbs
+            .get_mut(slot as usize)
+            .expect("make_tb_ready: unknown TB");
         if rt.deps_ok {
             return;
         }
         rt.deps_ok = true;
         if rt.armed && !rt.enqueued_or_pending {
-            self.schedule_ready(time, tb);
+            self.schedule_ready(time, slot);
         }
     }
 
-    /// Resumes a TB blocked on memory completion, pre-access sync or tile
-    /// availability.
+    /// Resumes the TB at `slot`, blocked on memory completion, pre-access
+    /// sync or tile availability.
     ///
     /// # Panics
     ///
-    /// Panics if the TB is not blocked.
-    pub fn resume_tb(&mut self, time: SimTime, tb: TbId) {
+    /// Panics if no TB was launched at `slot` or the TB is not blocked.
+    pub fn resume_tb(&mut self, time: SimTime, slot: u32) {
         assert!(time >= self.now, "cannot resume in the past");
-        let rt = self.tbs.get_mut(&tb).expect("resume_tb: unknown TB");
+        let rt = self
+            .tbs
+            .get_mut(slot as usize)
+            .expect("resume_tb: unknown TB");
         match rt.state {
             TbState::Blocked { phase } => {
                 rt.state = TbState::Running { phase };
-                self.queue.push(time, GpuEvent::PhaseDone(tb));
+                self.queue.push(time, GpuEvent::PhaseDone(slot));
             }
             TbState::Yielded { phase } => {
                 // Re-enter the ready queue with top priority (the resident
@@ -270,10 +302,10 @@ impl GpuSim {
                 rt.state = TbState::Queued;
                 let seq = self.ready_seq;
                 self.ready_seq += 1;
-                self.ready.push(Reverse((0, seq, tb)));
+                self.ready.push(Reverse((0, seq, slot)));
                 self.push_dispatch(time);
             }
-            other => panic!("resume_tb: {tb} is {other:?}, not blocked"),
+            other => panic!("resume_tb: {} is {other:?}, not blocked", rt.desc.id),
         }
     }
 
@@ -284,8 +316,8 @@ impl GpuSim {
         if !self.released_groups.insert(group) {
             return;
         }
-        for tb in self.pending_group.remove(&group).unwrap_or_default() {
-            self.enqueue_ready(time, tb);
+        for slot in self.pending_group.remove(group).unwrap_or_default() {
+            self.enqueue_ready(time, slot);
         }
         self.push_dispatch(time);
     }
@@ -326,19 +358,15 @@ impl GpuSim {
 
     /// True when no TB is queued, running, blocked or pending.
     pub fn is_idle(&self) -> bool {
-        self.queue.is_empty()
-            && self
-                .tbs
-                .values()
-                .all(|rt| matches!(rt.state, TbState::Done))
+        self.queue.is_empty() && self.tbs.iter().all(|rt| rt.state == TbState::Done)
     }
 
     /// Blocked/waiting TBs (diagnostics for deadlock reports).
     pub fn stuck_tbs(&self) -> Vec<TbId> {
         self.tbs
             .iter()
-            .filter(|(_, rt)| !matches!(rt.state, TbState::Done))
-            .map(|(id, _)| *id)
+            .filter(|rt| rt.state != TbState::Done)
+            .map(|rt| rt.desc.id)
             .collect()
     }
 
@@ -381,21 +409,28 @@ impl GpuSim {
         }
     }
 
-    fn schedule_ready(&mut self, time: SimTime, tb: TbId) {
-        let rt = self.tbs.get_mut(&tb).expect("schedule_ready: unknown TB");
+    fn kernel_ordered(&self, kernel: KernelId) -> bool {
+        self.kernels
+            .get(kernel)
+            .expect("TB of a launched kernel")
+            .ordered
+    }
+
+    fn schedule_ready(&mut self, time: SimTime, slot: u32) {
+        let rt = &mut self.tbs[slot as usize];
         rt.enqueued_or_pending = true;
         let kernel = rt.kernel;
-        let jitter = if self.kernels[&kernel].ordered {
+        let jitter = if self.kernel_ordered(kernel) {
             SimDuration::ZERO
         } else {
             self.rng.jitter(self.cfg.dispatch_jitter)
         };
-        self.queue.push(time + jitter, GpuEvent::ReadyAt(tb));
+        self.queue.push(time + jitter, GpuEvent::ReadyAt(slot));
     }
 
-    fn enqueue_ready(&mut self, time: SimTime, tb: TbId) {
-        let rt = &self.tbs[&tb];
-        let key = if self.kernels[&rt.kernel].ordered {
+    fn enqueue_ready(&mut self, time: SimTime, slot: u32) {
+        let rt = &self.tbs[slot as usize];
+        let key = if self.kernel_ordered(rt.kernel) {
             rt.desc.order_key
         } else {
             match self.cfg.ready_policy {
@@ -405,43 +440,40 @@ impl GpuSim {
         };
         let seq = self.ready_seq;
         self.ready_seq += 1;
-        self.ready.push(Reverse((key, seq, tb)));
-        self.tbs.get_mut(&tb).expect("enqueue: unknown TB").state = TbState::Queued;
+        self.ready.push(Reverse((key, seq, slot)));
+        self.tbs[slot as usize].state = TbState::Queued;
     }
 
     fn handle(&mut self, now: SimTime, ev: GpuEvent) {
         match ev {
             GpuEvent::KernelArmed(kernel) => {
-                let mut ready: Vec<(u64, TbId)> = self
-                    .tbs
-                    .iter_mut()
-                    .filter(|(_, rt)| rt.kernel == kernel)
-                    .map(|(id, rt)| {
-                        rt.armed = true;
-                        (
-                            rt.desc.order_key,
-                            *id,
-                            rt.deps_ok && !rt.enqueued_or_pending,
-                        )
-                    })
-                    .filter(|(_, _, go)| *go)
-                    .map(|(key, id, _)| (key, id))
-                    .collect();
+                let k = self.kernels.get(kernel).expect("armed kernel launched");
+                let range = k.first as usize..k.end as usize;
+                let mut ready = std::mem::take(&mut self.arming);
+                for (slot, rt) in (k.first..).zip(&mut self.tbs[range]) {
+                    rt.armed = true;
+                    if rt.deps_ok && !rt.enqueued_or_pending {
+                        ready.push((rt.desc.order_key, rt.desc.id, slot));
+                    }
+                }
                 // Deterministic arming order: hardware drains the grid in
                 // block order, and corresponding TBs on different GPUs
                 // must tie-break identically.
                 ready.sort_unstable();
-                for (_, tb) in ready {
-                    self.schedule_ready(now, tb);
+                for &(_, _, slot) in &ready {
+                    self.schedule_ready(now, slot);
                 }
+                ready.clear();
+                self.arming = ready;
             }
-            GpuEvent::ReadyAt(tb) => {
-                let rt = &self.tbs[&tb];
+            GpuEvent::ReadyAt(slot) => {
+                let rt = &mut self.tbs[slot as usize];
                 if rt.desc.pre_launch_sync {
                     let group = rt.desc.group.expect("pre_launch_sync TB must have a group");
-                    if !self.released_groups.contains(&group) {
-                        self.tbs.get_mut(&tb).expect("known").state = TbState::PendingGroup;
-                        self.pending_group.entry(group).or_default().push(tb);
+                    if !self.released_groups.contains(group) {
+                        rt.state = TbState::PendingGroup;
+                        let tb = rt.desc.id;
+                        self.pending_group.get_or_default(group).push(slot);
                         self.effects.push((
                             now,
                             GpuEffect::GroupSyncRequest {
@@ -453,50 +485,51 @@ impl GpuSim {
                         return;
                     }
                 }
-                self.enqueue_ready(now, tb);
+                self.enqueue_ready(now, slot);
                 self.push_dispatch(now);
             }
             GpuEvent::Dispatch => {
                 self.dispatch_pending = false;
                 self.dispatch(now);
             }
-            GpuEvent::PhaseDone(tb) => {
-                let rt = self.tbs.get_mut(&tb).expect("PhaseDone: unknown TB");
+            GpuEvent::PhaseDone(slot) => {
+                let rt = &mut self.tbs[slot as usize];
                 let phase = match rt.state {
                     TbState::Running { phase } => phase,
-                    other => panic!("PhaseDone for {tb} in state {other:?}"),
+                    other => panic!("PhaseDone for {} in state {other:?}", rt.desc.id),
                 };
                 rt.state = TbState::Running { phase: phase + 1 };
-                self.step_tb(now, tb);
+                self.step_tb(now, slot);
             }
         }
     }
 
     fn dispatch(&mut self, now: SimTime) {
         while self.slots_free > 0 {
-            let Some(Reverse((_, _, tb))) = self.ready.pop() else {
+            let Some(Reverse((_, _, slot))) = self.ready.pop() else {
                 break;
             };
             self.slots_free -= 1;
             self.note_occupancy_change(now, 1);
-            let rt = self.tbs.get_mut(&tb).expect("dispatch: unknown TB");
+            let rt = &mut self.tbs[slot as usize];
             let phase = std::mem::take(&mut rt.resume_phase);
             rt.state = TbState::Running { phase };
-            self.step_tb(now, tb);
+            self.step_tb(now, slot);
         }
     }
 
     /// Interprets phases starting at the TB's current phase index until it
     /// blocks, schedules a timed event, or completes.
-    fn step_tb(&mut self, now: SimTime, tb: TbId) {
+    fn step_tb(&mut self, now: SimTime, slot: u32) {
         loop {
-            let rt = self.tbs.get_mut(&tb).expect("step_tb: unknown TB");
+            let rt = &mut self.tbs[slot as usize];
+            let tb = rt.desc.id;
             let phase_idx = match rt.state {
                 TbState::Running { phase } => phase,
                 other => panic!("step_tb for {tb} in state {other:?}"),
             };
             if phase_idx >= rt.desc.phases.len() {
-                self.complete_tb(now, tb);
+                self.complete_tb(now, slot);
                 return;
             }
             // End the borrow by lifting the phase out. Every phase runs
@@ -521,7 +554,7 @@ impl GpuSim {
                         SimDuration::from_ps((d.as_ps() as f64 * self.cfg.compute_scale) as u64)
                     };
                     let jitter = self.rng.jitter(self.cfg.compute_jitter);
-                    self.queue.push(now + d + jitter, GpuEvent::PhaseDone(tb));
+                    self.queue.push(now + d + jitter, GpuEvent::PhaseDone(slot));
                     return;
                 }
                 Phase::IssueMem { ops, wait } => {
@@ -533,7 +566,7 @@ impl GpuSim {
                             blocking: wait,
                         },
                     ));
-                    let rt = self.tbs.get_mut(&tb).expect("known");
+                    let rt = &mut self.tbs[slot as usize];
                     if wait {
                         rt.state = TbState::Blocked { phase: phase_idx };
                         return;
@@ -570,15 +603,15 @@ impl GpuSim {
         }
     }
 
-    fn complete_tb(&mut self, now: SimTime, tb: TbId) {
-        let rt = self.tbs.get_mut(&tb).expect("complete_tb: unknown TB");
+    fn complete_tb(&mut self, now: SimTime, slot: u32) {
+        let rt = &mut self.tbs[slot as usize];
         rt.state = TbState::Done;
-        let kernel = rt.kernel;
+        let (tb, kernel) = (rt.desc.id, rt.kernel);
         self.slots_free += 1;
         self.note_occupancy_change(now, -1);
         self.effects
             .push((now, GpuEffect::TbCompleted { tb, kernel }));
-        let krt = self.kernels.get_mut(&kernel).expect("kernel exists");
+        let krt = self.kernels.get_mut(kernel).expect("kernel exists");
         krt.remaining -= 1;
         if krt.remaining == 0 {
             self.effects
@@ -679,7 +712,7 @@ mod tests {
                 Phase::Compute(SimDuration::from_us(1)),
             ],
         };
-        gpu.launch_kernel(SimTime::ZERO, KernelDesc::new(KernelId(0), "k", vec![tb]));
+        let slot = gpu.launch_kernel(SimTime::ZERO, KernelDesc::new(KernelId(0), "k", vec![tb]));
         // Run until blocked.
         while let Some(t) = gpu.next_time() {
             gpu.advance(t);
@@ -690,7 +723,7 @@ mod tests {
             .any(|(_, e)| matches!(e, GpuEffect::MemIssued { blocking: true, .. })));
         assert!(!gpu.is_idle());
         // Resume at 50 us; completion at 51 us.
-        gpu.resume_tb(SimTime::from_us(50), TbId(0));
+        gpu.resume_tb(SimTime::from_us(50), slot);
         let effects = run_all(&mut gpu);
         let done = effects
             .iter()
@@ -704,12 +737,12 @@ mod tests {
         let mut gpu = GpuSim::new(quiet_cfg(), 1);
         let mut k = KernelDesc::new(KernelId(0), "k", vec![compute_tb(0, 1)]);
         k.tbs_auto_ready = false;
-        gpu.launch_kernel(SimTime::ZERO, k);
+        let slot = gpu.launch_kernel(SimTime::ZERO, k);
         while let Some(t) = gpu.next_time() {
             gpu.advance(t);
         }
         assert!(!gpu.is_idle(), "TB must not run before deps resolve");
-        gpu.make_tb_ready(SimTime::from_us(100), TbId(0));
+        gpu.make_tb_ready(SimTime::from_us(100), slot);
         let effects = run_all(&mut gpu);
         let done = effects
             .iter()
@@ -769,7 +802,7 @@ mod tests {
             ],
         };
         let worker = compute_tb(1, 2);
-        gpu.launch_kernel(
+        let first = gpu.launch_kernel(
             SimTime::ZERO,
             KernelDesc::new(KernelId(0), "k", vec![syncer, worker]),
         );
@@ -783,7 +816,7 @@ mod tests {
             .any(|(_, e)| matches!(e, GpuEffect::TbCompleted { tb, .. } if *tb == TbId(1))));
         assert!(!gpu.is_idle());
         // Resume the syncer; it re-acquires the slot and finishes.
-        gpu.resume_tb(SimTime::from_us(30), TbId(0));
+        gpu.resume_tb(SimTime::from_us(30), first);
         let fx = run_all(&mut gpu);
         assert!(fx
             .iter()
@@ -850,7 +883,7 @@ mod tests {
                 Phase::Compute(SimDuration::from_us(1)),
             ],
         };
-        gpu.launch_kernel(
+        let first = gpu.launch_kernel(
             SimTime::ZERO,
             KernelDesc::new(KernelId(0), "k", vec![producer, consumer]),
         );
@@ -868,7 +901,7 @@ mod tests {
             .iter()
             .any(|(_, e)| matches!(e, GpuEffect::NeedTiles { tb, .. } if *tb == TbId(1))));
         // Engine would resume the consumer now.
-        gpu.resume_tb(tile_ready_at, TbId(1));
+        gpu.resume_tb(tile_ready_at, first + 1);
         let effects = run_all(&mut gpu);
         assert!(effects
             .iter()
@@ -953,6 +986,95 @@ mod tests {
             SimTime::ZERO,
             KernelDesc::new(KernelId(0), "k2", vec![compute_tb(1, 1)]),
         );
+    }
+
+    /// TBs that block on their first phase and then compute for 1 us.
+    fn waiting_tb(id: u64, order_key: u64) -> TbDesc {
+        TbDesc {
+            id: TbId(id),
+            order_key,
+            group: None,
+            pre_launch_sync: false,
+            phases: vec![
+                Phase::WaitTiles(vec![TileId(id)]),
+                Phase::Compute(SimDuration::from_us(1)),
+            ],
+        }
+    }
+
+    #[test]
+    fn slots_address_each_kernels_own_tbs() {
+        // Kernels launched before any arms, with non-contiguous TB ids
+        // listed out of id order. Each arm must dispatch only its own
+        // grid, in (order_key, TbId) order.
+        let mut cfg = quiet_cfg();
+        cfg.ready_policy = ReadyPolicy::GroupOrdered;
+        cfg.sm_count = 8;
+        let mut gpu = GpuSim::new(cfg, 1);
+        let a = KernelDesc::new(
+            KernelId(4),
+            "a",
+            vec![waiting_tb(90, 1), waiting_tb(12, 0), waiting_tb(40, 1)],
+        );
+        let b = KernelDesc::new(KernelId(2), "b", vec![waiting_tb(77, 0), waiting_tb(5, 0)]);
+        let mut c = KernelDesc::new(KernelId(9), "c", vec![waiting_tb(63, 0), waiting_tb(8, 0)]);
+        c.tbs_auto_ready = false;
+        let first_a = gpu.launch_kernel(SimTime::ZERO, a);
+        let first_b = gpu.launch_kernel(SimTime::from_us(2), b);
+        let first_c = gpu.launch_kernel(SimTime::from_us(2), c);
+        assert_eq!((first_a, first_b, first_c), (0, 3, 5));
+
+        let blocked = |gpu: &mut GpuSim| -> Vec<TbId> {
+            gpu.drain_effects()
+                .iter()
+                .filter_map(|(_, e)| match e {
+                    GpuEffect::NeedTiles { tb, .. } => Some(*tb),
+                    _ => None,
+                })
+                .collect()
+        };
+        // Kernel a arms at 3 us, kernel b at 5 us; kernel c arms at 5 us
+        // too but is dependency-gated, so it dispatches nothing.
+        gpu.advance(SimTime::from_us(3));
+        assert_eq!(blocked(&mut gpu), vec![TbId(12), TbId(40), TbId(90)]);
+        gpu.advance(SimTime::from_us(5));
+        assert_eq!(blocked(&mut gpu), vec![TbId(5), TbId(77)]);
+
+        // Slot first_c + 1 is TB 8: readying it dispatches it alone.
+        gpu.make_tb_ready(SimTime::from_us(6), first_c + 1);
+        gpu.advance(SimTime::from_us(6));
+        assert_eq!(blocked(&mut gpu), vec![TbId(8)]);
+
+        // Slot first_a + 2 is TB 40: resuming it completes only TB 40.
+        gpu.resume_tb(SimTime::from_us(7), first_a + 2);
+        gpu.advance(SimTime::from_us(8));
+        let done: Vec<(TbId, KernelId)> = gpu
+            .drain_effects()
+            .iter()
+            .filter_map(|(_, e)| match e {
+                GpuEffect::TbCompleted { tb, kernel } => Some((*tb, *kernel)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(done, vec![(TbId(40), KernelId(4))]);
+    }
+
+    #[test]
+    #[should_panic(expected = "make_tb_ready: unknown TB")]
+    fn make_tb_ready_on_an_unknown_slot_panics() {
+        let mut gpu = GpuSim::new(quiet_cfg(), 1);
+        let first = gpu.launch_kernel(
+            SimTime::ZERO,
+            KernelDesc::new(KernelId(0), "k", vec![compute_tb(0, 1)]),
+        );
+        gpu.make_tb_ready(SimTime::ZERO, first + 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "resume_tb: unknown TB")]
+    fn resume_tb_on_an_unknown_slot_panics() {
+        let mut gpu = GpuSim::new(quiet_cfg(), 1);
+        gpu.resume_tb(SimTime::ZERO, 0);
     }
 
     #[test]

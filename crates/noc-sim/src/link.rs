@@ -167,17 +167,20 @@ impl<P> Link<P> {
         }
     }
 
-    /// Walks the segment boundaries of a burst of `r0` payload bytes
-    /// starting at `start` (`hdr`: header still pending).
+    /// Locates the end of a burst of `r0` payload bytes starting at
+    /// `start` (`hdr`: header still pending), in closed form.
     ///
-    /// With `cut = Some((te, settled))` the walk stops at the first boundary
-    /// the baseline would re-arbitrate at after an enqueue at `te`:
-    /// strictly after `te` when `settled` (every event at `te` was already
-    /// dispatched, so the boundary at `te` itself already went to this
-    /// packet), at-or-after `te` otherwise.
+    /// With `cut = Some((te, settled))` the burst stops at the first
+    /// segment boundary the baseline would re-arbitrate at after an
+    /// enqueue at `te`: strictly after `te` when `settled` (every event at
+    /// `te` was already dispatched, so the boundary at `te` itself already
+    /// went to this packet), at-or-after `te` otherwise.
     ///
     /// Returns `(boundary, wire_bytes, segments, payload_served)` for the
-    /// walked prefix; with `cut = None` that is the whole burst.
+    /// served prefix; with `cut = None` that is the whole burst. Every
+    /// segment but the first (which carries the header) and the last (the
+    /// remainder) is a full `segment_bytes`, so its boundaries are evenly
+    /// spaced and the sums are exactly those of a segment-by-segment walk.
     fn walk_burst(
         &self,
         start: SimTime,
@@ -186,32 +189,48 @@ impl<P> Link<P> {
         cut: Option<(SimTime, bool)>,
     ) -> (SimTime, u64, u64, u64) {
         debug_assert!(r0 > 0, "burst over an empty packet");
-        let mut t = start;
-        let mut wire_total = 0u64;
-        let mut segments = 0u64;
-        let mut remaining = r0;
-        let mut first = hdr;
-        loop {
-            let seg = remaining.min(self.segment_bytes);
-            let mut wire = seg;
-            if first {
-                wire += self.header_bytes;
-                first = false;
-            }
-            t += self.transfer(wire);
-            wire_total += wire;
-            segments += 1;
-            remaining -= seg;
-            if remaining == 0 {
-                break;
-            }
-            if let Some((te, settled)) = cut {
-                if if settled { t > te } else { t >= te } {
-                    break;
+        let seg = self.segment_bytes;
+        let header = if hdr { self.header_bytes } else { 0 };
+        let n = r0.div_ceil(seg);
+        let first_end = start + self.transfer(r0.min(seg) + header);
+        if n == 1 {
+            return (first_end, r0 + header, 1, r0);
+        }
+        let full = self.transfer(seg).as_ps();
+        // Segments served when the cut boundary is reached; `n` when the
+        // burst drains first.
+        let served_segments = match cut {
+            None => n,
+            Some((te, settled)) => {
+                let past_first = if settled {
+                    first_end > te
+                } else {
+                    first_end >= te
+                };
+                if past_first {
+                    1
+                } else {
+                    // Boundary `1 + m` lies at `first_end + m * full`; take
+                    // the least `m >= 1` that passes the settledness rule.
+                    // Zero-time segments never move past `te`.
+                    let gap = te.since(first_end).as_ps();
+                    let m = match (full, settled) {
+                        (0, _) => None,
+                        (_, true) => Some(gap / full + 1),
+                        (_, false) => Some(gap.div_ceil(full)),
+                    };
+                    m.map_or(n, |m| m.saturating_add(1).min(n))
                 }
             }
+        };
+        if served_segments < n {
+            let boundary = first_end + SimDuration::from_ps(full * (served_segments - 1));
+            let served = served_segments * seg;
+            return (boundary, served + header, served_segments, served);
         }
-        (t, wire_total, segments, r0 - remaining)
+        let last = self.transfer(r0 - (n - 1) * seg);
+        let end = first_end + SimDuration::from_ps(full * (n - 2)) + last;
+        (end, r0 + header, n, r0)
     }
 
     /// Queues a packet on virtual channel `vc` at time `now`.
@@ -601,6 +620,109 @@ mod tests {
         let eff = l.enqueue(0, pkt(2), 64, SimTime::from_ns(100), false);
         assert_eq!(eff, EnqueueEffect::Pending);
         assert_eq!(l.token(), 0);
+    }
+
+    /// The per-segment walk that [`Link::walk_burst`] replaced, kept as
+    /// the oracle for its closed form.
+    fn walk_burst_reference(
+        l: &Link<u64>,
+        start: SimTime,
+        r0: u64,
+        hdr: bool,
+        cut: Option<(SimTime, bool)>,
+    ) -> (SimTime, u64, u64, u64) {
+        let mut t = start;
+        let mut wire_total = 0u64;
+        let mut segments = 0u64;
+        let mut remaining = r0;
+        let mut first = hdr;
+        loop {
+            let seg = remaining.min(l.segment_bytes);
+            let mut wire = seg;
+            if first {
+                wire += l.header_bytes;
+                first = false;
+            }
+            t += l.transfer(wire);
+            wire_total += wire;
+            segments += 1;
+            remaining -= seg;
+            if remaining == 0 {
+                break;
+            }
+            if let Some((te, settled)) = cut {
+                if if settled { t > te } else { t >= te } {
+                    break;
+                }
+            }
+        }
+        (t, wire_total, segments, r0 - remaining)
+    }
+
+    #[test]
+    fn closed_form_burst_matches_segment_walk() {
+        use sim_core::rng::JitterRng;
+        let mut rng = JitterRng::seed_from(0xB0857);
+        let mut checked = 0u32;
+        for slowdown in [1.0, 2.5] {
+            for seg in [64u64, 1000, 2048] {
+                // 450 GB/s costs a fractional number of picoseconds per
+                // byte, so the header, full and tail segments each round
+                // up differently.
+                let mut l: Link<u64> = Link::new(
+                    Bandwidth::gbps(450.0),
+                    SimDuration::from_ns(250),
+                    16,
+                    seg,
+                    2,
+                    None,
+                );
+                l.set_slowdown(slowdown);
+                // Below, equal to, and exact multiples of a segment, plus
+                // seeded sizes up to a dozen segments.
+                let mut sizes = vec![1, seg - 1, seg, seg + 1, 2 * seg, 7 * seg, 7 * seg + 3];
+                sizes.extend((0..24).map(|_| 1 + rng.next_below(12 * seg)));
+                for r0 in sizes {
+                    for hdr in [true, false] {
+                        let start = SimTime::from_ps(rng.next_below(5_000_000));
+                        let whole = walk_burst_reference(&l, start, r0, hdr, None);
+                        assert_eq!(l.walk_burst(start, r0, hdr, None), whole);
+                        // Every boundary of the walk, each probed exactly,
+                        // one picosecond either side, and past the end.
+                        let mut cuts = vec![start, whole.0 + SimDuration::from_ps(1)];
+                        let mut te = start;
+                        loop {
+                            let b = walk_burst_reference(&l, start, r0, hdr, Some((te, false))).0;
+                            cuts.extend([b, b + SimDuration::from_ps(1)]);
+                            cuts.push(SimTime::from_ps(b.as_ps() - 1));
+                            if b == whole.0 {
+                                break;
+                            }
+                            te = b + SimDuration::from_ps(1);
+                        }
+                        cuts.push(
+                            start
+                                + SimDuration::from_ps(
+                                    rng.next_below(whole.0.since(start).as_ps() + 1),
+                                ),
+                        );
+                        for te in cuts {
+                            for settled in [true, false] {
+                                let cut = Some((te, settled));
+                                assert_eq!(
+                                    l.walk_burst(start, r0, hdr, cut),
+                                    walk_burst_reference(&l, start, r0, hdr, cut),
+                                    "r0 {r0} seg {seg} hdr {hdr} slowdown {slowdown} \
+                                     start {start} cut at {te} settled {settled}"
+                                );
+                                checked += 1;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(checked > 5_000, "only {checked} cases checked");
     }
 
     #[test]

@@ -10,6 +10,12 @@
 //! window (possible only through deliberately out-of-order use) trigger
 //! a full rebuild. The observable contract is identical to a binary
 //! heap ordered by `(time, seq)`.
+//!
+//! The wheel, the staged vector and the overflow heap hold only 24-byte
+//! `(time, seq, slot)` keys. Each payload sits in a slot of a recycled
+//! arena (freed slots are reused last-in first-out), so bucket writes
+//! and restage sorts move keys, never the events themselves, however
+//! large the event type is.
 
 use crate::time::SimTime;
 use std::cmp::Ordering;
@@ -44,51 +50,60 @@ fn day_of(t: SimTime) -> u64 {
 /// ```
 #[derive(Debug, Clone)]
 pub struct EventQueue<E> {
-    /// Entries of the cursor day, sorted descending by `(time, seq)`:
-    /// the earliest event is last. Non-empty whenever `len > 0`.
-    staged: Vec<Entry<E>>,
-    /// Day the staged entries belong to.
+    /// Keys of the cursor day, sorted descending by `(time, seq)`: the
+    /// earliest event is last. Non-empty whenever `len > 0`.
+    staged: Vec<Key>,
+    /// Day the staged keys belong to.
     cur_day: u64,
     /// Buckets hold days `[win_lo, win_lo + N_BUCKETS)`, at index
     /// `day & DAY_MASK`.
     win_lo: u64,
-    buckets: Vec<Vec<Entry<E>>>,
+    buckets: Vec<Vec<Key>>,
     /// One bit per bucket; set iff the bucket is non-empty.
     occ: Vec<u64>,
-    /// Events at days `>= win_lo + N_BUCKETS`, earliest first.
-    overflow: BinaryHeap<Entry<E>>,
+    /// Keys at days `>= win_lo + N_BUCKETS`, earliest first.
+    overflow: BinaryHeap<Key>,
+    /// Payload arena indexed by `Key::slot`; `None` marks a free slot.
+    payloads: Vec<Option<E>>,
+    /// Free arena slots, reused last-in first-out.
+    free: Vec<u32>,
     len: usize,
     seq: u64,
     pops: u64,
     peak: usize,
 }
 
-#[derive(Debug, Clone)]
-struct Entry<E> {
+/// The ordering key of one pending event; its payload lives in the
+/// arena at `slot`.
+#[derive(Debug, Clone, Copy)]
+struct Key {
     time: SimTime,
     seq: u64,
-    event: E,
+    slot: u32,
 }
 
-impl<E> PartialEq for Entry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
+impl Key {
+    fn order(&self) -> (SimTime, u64) {
+        (self.time, self.seq)
     }
 }
-impl<E> Eq for Entry<E> {}
-impl<E> PartialOrd for Entry<E> {
+
+impl PartialEq for Key {
+    fn eq(&self, other: &Self) -> bool {
+        self.order() == other.order()
+    }
+}
+impl Eq for Key {}
+impl PartialOrd for Key {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
-impl<E> Ord for Entry<E> {
+impl Ord for Key {
     fn cmp(&self, other: &Self) -> Ordering {
         // BinaryHeap is a max-heap; reverse so the earliest time (then the
         // lowest sequence number) surfaces first.
-        other
-            .time
-            .cmp(&self.time)
-            .then_with(|| other.seq.cmp(&self.seq))
+        other.order().cmp(&self.order())
     }
 }
 
@@ -102,6 +117,8 @@ impl<E> EventQueue<E> {
             buckets: (0..N_BUCKETS).map(|_| Vec::new()).collect(),
             occ: vec![0u64; N_BUCKETS / 64],
             overflow: BinaryHeap::new(),
+            payloads: Vec::new(),
+            free: Vec::new(),
             len: 0,
             seq: 0,
             pops: 0,
@@ -113,26 +130,35 @@ impl<E> EventQueue<E> {
     pub fn push(&mut self, time: SimTime, event: E) {
         let seq = self.seq;
         self.seq += 1;
-        let e = Entry { time, seq, event };
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.payloads[slot as usize] = Some(event);
+                slot
+            }
+            None => {
+                let slot = u32::try_from(self.payloads.len()).expect("event arena overflow");
+                self.payloads.push(Some(event));
+                slot
+            }
+        };
+        let k = Key { time, seq, slot };
         self.len += 1;
         self.peak = self.peak.max(self.len);
         if self.len == 1 {
             // Empty queue: re-anchor the window on this event.
             self.win_lo = day_of(time);
             self.cur_day = self.win_lo;
-            self.staged.push(e);
+            self.staged.push(k);
             return;
         }
         let day = day_of(time);
         if day == self.cur_day {
-            let i = self
-                .staged
-                .partition_point(|x| (x.time, x.seq) > (time, seq));
-            self.staged.insert(i, e);
+            let i = self.staged.partition_point(|x| x.order() > (time, seq));
+            self.staged.insert(i, k);
         } else if day >= self.win_lo + N_BUCKETS as u64 {
-            self.overflow.push(e);
+            self.overflow.push(k);
         } else if day > self.cur_day {
-            self.bucket_insert(e, day);
+            self.bucket_insert(k, day);
         } else if day >= self.win_lo {
             // Rewind: the event precedes the staged day. Unstage it and
             // restart the cursor on the new day.
@@ -141,28 +167,32 @@ impl<E> EventQueue<E> {
             std::mem::swap(&mut self.buckets[b], &mut self.staged);
             self.occ[b / 64] |= 1 << (b % 64);
             self.cur_day = day;
-            self.bucket_insert(e, day);
+            self.bucket_insert(k, day);
             self.restage();
         } else {
             // Before the window entirely: rebuild around the new minimum.
-            self.rebuild(e);
+            self.rebuild(k);
         }
     }
 
     /// Removes and returns the earliest event.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let e = self.staged.pop()?;
+        let k = self.staged.pop()?;
         self.len -= 1;
         self.pops += 1;
         if self.staged.is_empty() && self.len > 0 {
             self.restage();
         }
-        Some((e.time, e.event))
+        let event = self.payloads[k.slot as usize]
+            .take()
+            .expect("queued key without a payload");
+        self.free.push(k.slot);
+        Some((k.time, event))
     }
 
     /// The timestamp of the earliest pending event, if any.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.staged.last().map(|e| e.time)
+        self.staged.last().map(|k| k.time)
     }
 
     /// Removes the earliest event only if it is scheduled at or before `now`.
@@ -196,6 +226,8 @@ impl<E> EventQueue<E> {
             self.occ[w] = 0;
         }
         self.overflow.clear();
+        self.payloads.clear();
+        self.free.clear();
         self.len = 0;
     }
 
@@ -209,10 +241,10 @@ impl<E> EventQueue<E> {
         self.peak
     }
 
-    fn bucket_insert(&mut self, e: Entry<E>, day: u64) {
+    fn bucket_insert(&mut self, k: Key, day: u64) {
         debug_assert!(day >= self.cur_day && day < self.win_lo + N_BUCKETS as u64);
         let b = (day & DAY_MASK) as usize;
-        self.buckets[b].push(e);
+        self.buckets[b].push(k);
         self.occ[b / 64] |= 1 << (b % 64);
     }
 
@@ -229,7 +261,7 @@ impl<E> EventQueue<E> {
                 std::mem::swap(&mut self.buckets[b], &mut self.staged);
                 self.occ[b / 64] &= !(1 << (b % 64));
                 self.staged
-                    .sort_unstable_by_key(|e| std::cmp::Reverse((e.time, e.seq)));
+                    .sort_unstable_by_key(|k| std::cmp::Reverse(k.order()));
                 return;
             }
             // Wheel exhausted: everything pending is in the overflow.
@@ -238,13 +270,13 @@ impl<E> EventQueue<E> {
             self.win_lo = day_of(top.time);
             self.cur_day = self.win_lo;
             let win_end = self.win_lo + N_BUCKETS as u64;
-            while let Some(e) = self.overflow.peek() {
-                if day_of(e.time) >= win_end {
+            while let Some(k) = self.overflow.peek() {
+                if day_of(k.time) >= win_end {
                     break;
                 }
-                let e = self.overflow.pop().expect("peeked");
-                let day = day_of(e.time);
-                self.bucket_insert(e, day);
+                let k = self.overflow.pop().expect("peeked");
+                let day = day_of(k.time);
+                self.bucket_insert(k, day);
             }
         }
     }
@@ -269,9 +301,9 @@ impl<E> EventQueue<E> {
 
     /// Re-anchors the whole structure on a push before the window (only
     /// reachable by popping forward and then pushing into the past).
-    fn rebuild(&mut self, e: Entry<E>) {
-        let mut all: Vec<Entry<E>> = Vec::with_capacity(self.len);
-        all.push(e);
+    fn rebuild(&mut self, k: Key) {
+        let mut all: Vec<Key> = Vec::with_capacity(self.len);
+        all.push(k);
         all.append(&mut self.staged);
         for w in 0..self.occ.len() {
             let mut word = self.occ[w];
@@ -302,7 +334,7 @@ impl<E> EventQueue<E> {
             }
         }
         self.staged
-            .sort_unstable_by_key(|e| std::cmp::Reverse((e.time, e.seq)));
+            .sort_unstable_by_key(|k| std::cmp::Reverse(k.order()));
     }
 }
 
@@ -363,7 +395,7 @@ mod tests {
 
     #[test]
     fn events_beyond_window_slide_in_order() {
-        // Spread events over many windows (the wheel covers ~67 us) and
+        // Spread events over many windows (the wheel covers ~17 us) and
         // mix in same-bucket neighbours; pops must be globally sorted.
         let mut q = EventQueue::new();
         let times: Vec<u64> = (0..500)
@@ -394,6 +426,23 @@ mod tests {
         q.push(SimTime::from_ns(20), 'b');
         let order: Vec<char> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
         assert_eq!(order, vec!['b', 'y', 'z']);
+    }
+
+    #[test]
+    fn keys_stay_compact_and_payload_slots_are_recycled() {
+        assert_eq!(std::mem::size_of::<Key>(), 24);
+        // A steady push/pop stream never holds more than two events, so
+        // the arena never grows past two slots however many pass through.
+        let mut q = EventQueue::new();
+        q.push(SimTime::ZERO, [0u64; 16]);
+        for i in 1..1_000u64 {
+            q.push(SimTime::from_ns(i), [i; 16]);
+            let (t, e) = q.pop().expect("pending");
+            assert_eq!((t.as_ps(), e[15]), (SimTime::from_ns(i - 1).as_ps(), i - 1));
+        }
+        assert_eq!(q.payloads.len(), 2);
+        q.clear();
+        assert!(q.payloads.is_empty() && q.free.is_empty());
     }
 
     /// The original binary-heap implementation, kept as the ordering
