@@ -171,12 +171,10 @@ impl LadmStrategy {
                     }
                     // Owner-side waiter.
                     let wid = ctx.ids.tb();
-                    per_gpu_tbs[owner.index()].push(TbDesc::compute_only(
-                        wid,
-                        order.get() + 1,
-                        SimDuration::from_ns(100),
-                    ));
-                    ctx.prog.tb_ready_deps.insert(wid, vec![tile]);
+                    per_gpu_tbs[owner.index()].push(
+                        TbDesc::compute_only(wid, order.get() + 1, SimDuration::from_ns(100))
+                            .gated_on([tile]),
+                    );
                     order.set(order.get() + 2);
                 }
             }
@@ -222,11 +220,6 @@ impl LadmStrategy {
 
         let mut kids = Vec::with_capacity(ctx.cfg.n_gpus);
         for (g, tbs) in per_gpu_tbs.into_iter().enumerate() {
-            // Dependency-gated kernels need every TB in the ready map
-            // (an absent entry would never become dispatchable).
-            for tb in &tbs {
-                ctx.prog.tb_ready_deps.entry(tb.id).or_default();
-            }
             let after = ctx.prev.clone();
             let kname = format!("ladm.{name}");
             kids.push(push_kernel(
@@ -236,7 +229,7 @@ impl LadmStrategy {
                 kname,
                 tbs,
                 after,
-                Launch::GATED,
+                Launch::PLAIN,
             ));
         }
         ctx.prev = kids;

@@ -4,6 +4,7 @@ use cais_engine::lower::{push_kernel, GemmLowering, Launch};
 use cais_engine::{IdAlloc, Program};
 use gpu_sim::{MemOp, MemOpKind, Phase, TbDesc};
 use sim_core::{Addr, KernelId, SimDuration, TileId};
+use std::sync::Arc;
 
 /// A GEMM kernel lowered with per-output-tile completion signals, so
 /// chunk-overlapping collectives (CoCoNet/FuseLib) or per-tile triggers
@@ -52,7 +53,7 @@ pub fn lower_tiled_gemm(
     }
     let launch = Launch {
         fused: opts.fused_launch,
-        ..Launch::READY
+        ..Launch::PLAIN
     };
     let kernel_ids = (0..n_gpus)
         .map(|g| {
@@ -140,27 +141,25 @@ pub fn lower_gated_gemm(
     let tile = low.tiling.tile;
     let n_mb = m.div_ceil(tile);
     let n_nb = n.div_ceil(tile);
-    let launch = if gates.is_empty() {
-        Launch::READY
-    } else {
-        Launch::GATED
-    };
     (0..n_gpus)
         .map(|g| {
             let mut tbs = Vec::with_capacity((n_mb * n_nb) as usize);
             for mi in 0..n_mb {
                 let m_len = tile.min(m - mi * tile);
+                // Every TB of the band shares the band's gate list.
+                let gate: Arc<[TileId]> = if gates.is_empty() {
+                    Arc::default()
+                } else {
+                    gates[g][mi as usize].as_slice().into()
+                };
                 for ni in 0..n_nb {
                     let n_len = tile.min(n - ni * tile);
-                    let id = ids.tb();
                     let compute = Phase::Compute(low.gemm_tb_time(m_len, n_len, k));
-                    tbs.push(TbDesc::new(id, mi * n_nb + ni, vec![compute]));
-                    if !gates.is_empty() {
-                        prog.tb_ready_deps.insert(id, gates[g][mi as usize].clone());
-                    }
+                    let tb = TbDesc::new(ids.tb(), mi * n_nb + ni, vec![compute]);
+                    tbs.push(tb.gated_on(Arc::clone(&gate)));
                 }
             }
-            push_kernel(prog, ids, g, name, tbs, after.clone(), launch)
+            push_kernel(prog, ids, g, name, tbs, after.clone(), Launch::PLAIN)
         })
         .collect()
 }
@@ -213,15 +212,15 @@ pub fn waiter_kernels(
 ) -> Vec<KernelId> {
     let launch = Launch {
         fused: true,
-        ..Launch::GATED
+        ..Launch::PLAIN
     };
     gates
         .iter()
         .enumerate()
         .take(n_gpus)
         .map(|(g, gate)| {
-            let tb = TbDesc::compute_only(ids.tb(), 0, SimDuration::from_ns(100));
-            prog.tb_ready_deps.insert(tb.id, gate.clone());
+            let tb = TbDesc::compute_only(ids.tb(), 0, SimDuration::from_ns(100))
+                .gated_on(gate.as_slice());
             let kname = format!("{name}.wait");
             push_kernel(prog, ids, g, kname, vec![tb], after.clone(), launch)
         })
@@ -307,7 +306,7 @@ mod tests {
             &gates,
         );
         assert_eq!(kids.len(), 2);
-        assert!(!prog.kernels[0].desc.tbs_auto_ready);
-        assert_eq!(prog.tb_ready_deps.len(), 2 * 2);
+        let gated = prog.kernels.iter().flat_map(|k| &k.desc.tbs);
+        assert_eq!(gated.filter(|tb| !tb.ready_after.is_empty()).count(), 2 * 2);
     }
 }

@@ -428,7 +428,7 @@ impl BaselineStrategy {
         let ep = t3_epilogue(addrs, red_tiles.clone(), tile_bytes, n_mb, p);
         let launch = Launch {
             fused: true,
-            ..Launch::GATED
+            ..Launch::PLAIN
         };
         let mut trigger_kids = Vec::with_capacity(ctx.cfg.n_gpus);
         for g in 0..ctx.cfg.n_gpus {
@@ -443,10 +443,8 @@ impl BaselineStrategy {
                             wait: false,
                         },
                     ];
-                    tbs.push(TbDesc::new(id, mi * n_nb + ni, phases));
-                    ctx.prog
-                        .tb_ready_deps
-                        .insert(id, vec![tg.tiles[mi as usize][ni as usize]]);
+                    let gate = tg.tiles[mi as usize][ni as usize];
+                    tbs.push(TbDesc::new(id, mi * n_nb + ni, phases).gated_on([gate]));
                 }
             }
             let after = ctx.prev.clone();

@@ -120,6 +120,7 @@ mod tests {
             order_key: id,
             group: None,
             pre_launch_sync: false,
+            ready_after: Default::default(),
             phases: vec![
                 Phase::Compute(SimDuration::from_us(1)),
                 Phase::IssueMem {

@@ -168,9 +168,23 @@ impl SwitchLogic<Msg> for CaisLogic {
                 self.scratch = out;
                 self.arm_timer(now, ctx);
             }
-            Msg::LoadResp { addr, bytes, .. } => {
+            Msg::LoadResp {
+                addr,
+                bytes,
+                requester,
+                tb,
+                tile,
+            } => {
                 let mut out = std::mem::take(&mut self.scratch);
-                if self.merge.on_load_resp(now, plane, addr, bytes, &mut out) {
+                let waiter = Waiter {
+                    requester,
+                    tb,
+                    tile,
+                };
+                if self
+                    .merge
+                    .on_load_resp(now, plane, addr, bytes, waiter, &mut out)
+                {
                     self.apply(&mut out, ctx);
                 } else {
                     ctx.forward(pkt);

@@ -9,9 +9,7 @@
 //! timeout-based forward-progress mechanism bound the table.
 
 use sim_core::rng::JitterRng;
-use sim_core::{
-    Addr, FastHash, GpuId, PlaneId, SimDuration, SimTime, Slab, SlotHandle, SmallVec, TbId, TileId,
-};
+use sim_core::{Addr, FastHash, GpuId, PlaneId, SimDuration, SimTime, SmallVec, TbId, TileId};
 use std::collections::{BTreeMap, HashMap};
 
 /// A queued load requester.
@@ -164,9 +162,9 @@ pub enum MergeAction {
 const INLINE_PARTICIPANTS: usize = 8;
 
 // The size gap between variants is the inline waiter buffer — the whole
-// point of the SmallVec. Entries live in a contiguous slab sized by the
-// merge-table capacity model, so the fixed footprint is intended; boxing
-// the large variant would put the hot path back on the heap.
+// point of the SmallVec. Entries live inline in the port's session map,
+// so the fixed footprint is intended; boxing the large variant would put
+// the hot path back on the heap.
 #[allow(clippy::large_enum_variant)]
 #[derive(Debug)]
 enum SessionKind {
@@ -196,12 +194,9 @@ struct Entry {
 
 #[derive(Debug, Default)]
 struct Port {
-    /// Address → live session, with the session records themselves in a
-    /// recycled [`Slab`] arena so steady-state open/close touches the
-    /// heap only when the table grows past its high-water mark. Handles
-    /// in the index are always live (index and slab mutate together).
-    index: HashMap<Addr, SlotHandle, FastHash>,
-    sessions: Slab<Entry>,
+    /// The Merging Table: one CAM lookup keyed on the address finds the
+    /// live session.
+    sessions: HashMap<Addr, Entry, FastHash>,
     occupancy: u64,
     reduce_occ: u64,
     load_occ: u64,
@@ -261,7 +256,7 @@ impl MergeUnit {
 
     /// True if any session is open (drives timer scheduling).
     pub fn has_entries(&self) -> bool {
-        self.ports.values().any(|p| !p.index.is_empty())
+        self.ports.values().any(|p| !p.sessions.is_empty())
     }
 
     fn full_load_count(&self) -> u32 {
@@ -292,8 +287,7 @@ impl MergeUnit {
         let port = self.ports.entry(port_key).or_default();
         let prior = port.history.get(&addr).copied().unwrap_or(0);
 
-        if let Some(&h) = port.index.get(&addr) {
-            let entry = port.sessions.get_mut(h).expect("indexed session is live");
+        if let Some(entry) = port.sessions.get_mut(&addr) {
             entry.count += 1;
             entry.last_request = now;
             entry.last_access = now;
@@ -342,18 +336,20 @@ impl MergeUnit {
         port.occupancy += need;
         port.load_occ += need;
         Self::note_peak(&mut self.stats, port);
-        let h = port.sessions.insert(Entry {
-            kind: SessionKind::LoadWait {
-                waiters: std::iter::once(waiter).collect(),
+        port.sessions.insert(
+            addr,
+            Entry {
+                kind: SessionKind::LoadWait {
+                    waiters: std::iter::once(waiter).collect(),
+                },
+                bytes,
+                occupancy: need,
+                count: 1,
+                first_request: now,
+                last_request: now,
+                last_access: now,
             },
-            bytes,
-            occupancy: need,
-            count: 1,
-            first_request: now,
-            last_request: now,
-            last_access: now,
-        });
-        port.index.insert(addr, h);
+        );
         self.stats.sessions_opened += 1;
         self.stats.loads_forwarded += 1;
         out.push(MergeAction::ForwardLoad {
@@ -380,15 +376,21 @@ impl MergeUnit {
         });
     }
 
-    /// Handles load data returning from the home GPU. Returns `true` if
-    /// the response was consumed by a session (the caller must then drop
-    /// the original packet).
+    /// Handles load data returning from the home GPU to `waiter`.
+    /// Returns `true` if the response was consumed by a session (the
+    /// caller must then drop the original packet).
+    ///
+    /// Only the session's own fetch feeds it: a Load-Wait session forwards
+    /// exactly one request, its first waiter's, so a response for anyone
+    /// else (a bypassed request, or a fetch re-forwarded after an entry
+    /// fault) passes through to its own requester.
     pub fn on_load_resp(
         &mut self,
         now: SimTime,
         plane: PlaneId,
         addr: Addr,
         bytes: u64,
+        waiter: Waiter,
         out: &mut Vec<MergeAction>,
     ) -> bool {
         let full = self.full_load_count();
@@ -397,15 +399,17 @@ impl MergeUnit {
             return false;
         };
         let prior = port.history.get(&addr).copied().unwrap_or(0);
-        let Some(&h) = port.index.get(&addr) else {
+        let Some(entry) = port.sessions.get_mut(&addr) else {
             return false;
         };
-        let entry = port.sessions.get_mut(h).expect("indexed session is live");
         let SessionKind::LoadWait { waiters } = &mut entry.kind else {
             // A bypassed request's response while data is already cached:
             // let it through unchanged.
             return false;
         };
+        if waiters.first() != Some(&waiter) {
+            return false;
+        }
         let waiters = std::mem::take(waiters);
         for w in &waiters {
             out.push(MergeAction::RespondLoad {
@@ -425,7 +429,7 @@ impl MergeUnit {
             let served = waiters.len() as u32;
             entry.kind = SessionKind::LoadReady { served };
             if Self::make_room(&self.cfg, &mut self.stats, port, bytes, out) {
-                let entry = port.sessions.get_mut(h).expect("still resident");
+                let entry = port.sessions.get_mut(&addr).expect("still resident");
                 entry.occupancy += bytes;
                 port.occupancy += bytes;
                 port.load_occ += bytes;
@@ -460,8 +464,7 @@ impl MergeUnit {
         let port = self.ports.entry(port_key).or_default();
         let prior = port.history.get(&addr).copied().unwrap_or(0);
 
-        if let Some(&h) = port.index.get(&addr) {
-            let entry = port.sessions.get_mut(h).expect("indexed session is live");
+        if let Some(entry) = port.sessions.get_mut(&addr) {
             if let SessionKind::Reduction {
                 contribs: acc,
                 contributors,
@@ -516,20 +519,22 @@ impl MergeUnit {
         port.occupancy += need;
         port.reduce_occ += need;
         Self::note_peak(&mut self.stats, port);
-        let h = port.sessions.insert(Entry {
-            kind: SessionKind::Reduction {
-                contribs,
-                contributors: std::iter::once(src).collect(),
-                tile,
+        port.sessions.insert(
+            addr,
+            Entry {
+                kind: SessionKind::Reduction {
+                    contribs,
+                    contributors: std::iter::once(src).collect(),
+                    tile,
+                },
+                bytes,
+                occupancy: need,
+                count: 1,
+                first_request: now,
+                last_request: now,
+                last_access: now,
             },
-            bytes,
-            occupancy: need,
-            count: 1,
-            first_request: now,
-            last_request: now,
-            last_access: now,
-        });
-        port.index.insert(addr, h);
+        );
         self.stats.sessions_opened += 1;
         if contribs + prior >= full {
             // A successor session of an evicted one just completed.
@@ -571,7 +576,7 @@ impl MergeUnit {
     pub fn has_entries_on(&self, plane: PlaneId) -> bool {
         self.ports
             .iter()
-            .any(|((pl, _), p)| *pl == plane && !p.index.is_empty())
+            .any(|((pl, _), p)| *pl == plane && !p.sessions.is_empty())
     }
 
     /// Timeout sweep over one plane's ports: evicts sessions idle longer
@@ -586,12 +591,10 @@ impl MergeUnit {
             .filter(|((pl, _), _)| *pl == plane)
             .map(|(_, p)| p)
         {
-            let sessions = &port.sessions;
             let mut expired: Vec<Addr> = port
-                .index
+                .sessions
                 .iter()
-                .filter(|(_, h)| {
-                    let e = sessions.get(**h).expect("indexed session is live");
+                .filter(|(_, e)| {
                     now.saturating_since(e.last_access) > timeout
                         && !matches!(e.kind, SessionKind::LoadWait { .. })
                 })
@@ -612,11 +615,7 @@ impl MergeUnit {
         self.ports
             .iter()
             .filter(|((pl, _), _)| *pl == plane)
-            .flat_map(|(_, p)| {
-                p.index
-                    .values()
-                    .map(|h| p.sessions.get(*h).expect("indexed session is live"))
-            })
+            .flat_map(|(_, p)| p.sessions.values())
             .any(|e| {
                 !matches!(e.kind, SessionKind::LoadWait { .. })
                     || now.saturating_since(e.last_access) <= timeout
@@ -631,9 +630,10 @@ impl MergeUnit {
     ///
     /// A faulted entry takes the normal eviction path (partial reductions
     /// flush, credits return, progress is recorded). A faulted Load-Wait
-    /// session additionally re-forwards every queued waiter first — the
-    /// in-flight fetch can no longer be matched to the lost entry, so each
-    /// waiter refetches and the passthrough responses retire the address.
+    /// session additionally re-forwards its merged waiters (all but the
+    /// first, whose own fetch is still in flight) — nothing is left to
+    /// answer them, so each refetches and the passthrough responses
+    /// retire the address.
     ///
     /// When a port's cumulative fault count reaches
     /// `cfg.degrade_threshold`, the port permanently degrades to the
@@ -655,7 +655,7 @@ impl MergeUnit {
             .filter(|((pl, _), _)| *pl == plane)
             .map(|(_, p)| p)
         {
-            let mut addrs: Vec<Addr> = port.index.keys().copied().collect();
+            let mut addrs: Vec<Addr> = port.sessions.keys().copied().collect();
             addrs.sort_unstable();
             for addr in addrs {
                 if rng.next_f64() >= rate {
@@ -663,11 +663,10 @@ impl MergeUnit {
                 }
                 self.stats.entry_faults += 1;
                 port.faults += 1;
-                let h = *port.index.get(&addr).expect("resident entry");
-                let entry = port.sessions.get_mut(h).expect("indexed session is live");
+                let entry = port.sessions.get_mut(&addr).expect("resident entry");
                 if let SessionKind::LoadWait { waiters } = &mut entry.kind {
                     let bytes = entry.bytes;
-                    for &w in &std::mem::take(waiters) {
+                    for &w in std::mem::take(waiters).iter().skip(1) {
                         self.stats.loads_forwarded += 1;
                         out.push(MergeAction::ForwardLoad {
                             waiter: w,
@@ -703,11 +702,9 @@ impl MergeUnit {
         while port.occupancy + need > cap {
             // LRU among evictable sessions (Load-Wait must stay until its
             // response arrives).
-            let sessions = &port.sessions;
             let victim = port
-                .index
+                .sessions
                 .iter()
-                .map(|(a, h)| (a, sessions.get(*h).expect("indexed session is live")))
                 .filter(|(_, e)| !matches!(e.kind, SessionKind::LoadWait { .. }))
                 .min_by_key(|(a, e)| (e.last_access, a.0))
                 .map(|(a, _)| *a);
@@ -722,8 +719,7 @@ impl MergeUnit {
 
     fn evict_one(stats: &mut MergeStats, port: &mut Port, addr: Addr, out: &mut Vec<MergeAction>) {
         stats.sessions_evicted += 1;
-        let h = port.index.remove(&addr).expect("victim exists");
-        let entry = port.sessions.remove(h).expect("releasing live entry");
+        let entry = port.sessions.remove(&addr).expect("victim exists");
         if let SessionKind::Reduction {
             contribs,
             contributors,
@@ -755,8 +751,7 @@ impl MergeUnit {
     fn release(stats: &mut MergeStats, port: &mut Port, addr: Addr) {
         stats.sessions_closed += 1;
         port.history.remove(&addr);
-        let h = port.index.remove(&addr).expect("releasing live entry");
-        let entry = port.sessions.remove(h).expect("releasing live entry");
+        let entry = port.sessions.remove(&addr).expect("releasing live entry");
         Self::retire(stats, port, entry);
     }
 
@@ -765,8 +760,6 @@ impl MergeUnit {
     ///
     /// * session conservation — every session ever opened was either
     ///   released complete, evicted, or is still live;
-    /// * per-port index/slab sync — the address index and the session
-    ///   slab always hold exactly the same sessions;
     /// * per-port occupancy conservation — the incrementally tracked
     ///   occupancy equals the sum over live entries, and splits exactly
     ///   into the reduce/load sub-tallies;
@@ -794,23 +787,7 @@ impl MergeUnit {
             || format!("{} port(s) instantiated", self.ports.len()),
         );
         for ((plane, gpu), port) in &self.ports {
-            probe.ledger_with(
-                "merge",
-                "index/slab sync: indexed addresses == live sessions",
-                port.index.len() as u64,
-                port.sessions.len() as u64,
-                || format!("port ({plane:?}, {gpu:?})"),
-            );
-            let entry_occ: u64 = port
-                .index
-                .values()
-                .map(|h| {
-                    port.sessions
-                        .get(*h)
-                        .expect("indexed session is live")
-                        .occupancy
-                })
-                .sum();
+            let entry_occ: u64 = port.sessions.values().map(|e| e.occupancy).sum();
             probe.ledger_with(
                 "merge",
                 "occupancy conservation: tracked == sum over live entries",
@@ -825,8 +802,7 @@ impl MergeUnit {
                 port.reduce_occ + port.load_occ,
                 || format!("port ({plane:?}, {gpu:?})"),
             );
-            for (addr, h) in &port.index {
-                let e = port.sessions.get(*h).expect("indexed session is live");
+            for (addr, e) in &port.sessions {
                 if let SessionKind::LoadWait { waiters } = &e.kind {
                     probe.ledger_with(
                         "merge",
@@ -920,7 +896,7 @@ mod tests {
         );
         // Data returns: both queued waiters served; entry cached for #3.
         out.clear();
-        assert!(m.on_load_resp(t(5), PLANE, addr, 4096, &mut out));
+        assert!(m.on_load_resp(t(5), PLANE, addr, 4096, waiter(0), &mut out));
         assert_eq!(
             out.iter()
                 .filter(|a| matches!(a, MergeAction::RespondLoad { .. }))
@@ -1052,7 +1028,7 @@ mod tests {
         let addr = Addr::new(GpuId(2), 0x100);
         let mut out = Vec::new();
         // No session: a response just flows through.
-        assert!(!m.on_load_resp(t(1), PLANE, addr, 1024, &mut out));
+        assert!(!m.on_load_resp(t(1), PLANE, addr, 1024, waiter(1), &mut out));
         assert!(out.is_empty());
     }
 
@@ -1079,7 +1055,7 @@ mod tests {
         let addr = Addr::new(GpuId(0), 0x100);
         let mut out = Vec::new();
         m.on_load_req(t(1), PLANE, addr, 32 * 1024, waiter(1), &mut out);
-        m.on_load_resp(t(2), PLANE, addr, 32 * 1024, &mut out);
+        m.on_load_resp(t(2), PLANE, addr, 32 * 1024, waiter(1), &mut out);
         // Entry now caches 32 KiB for the remaining 6 requesters.
         assert!(m.stats().peak_port_occupancy >= 32 * 1024);
     }
@@ -1172,7 +1148,7 @@ mod tests {
         out.clear();
         // Response arrives: serves both; caching fails (capacity), so the
         // session retires with progress = 2.
-        assert!(m.on_load_resp(t(3), PLANE, addr, 4096, &mut out));
+        assert!(m.on_load_resp(t(3), PLANE, addr, 4096, waiter(1), &mut out));
         assert_eq!(
             out.iter()
                 .filter(|a| matches!(a, MergeAction::RespondLoad { .. }))
@@ -1187,7 +1163,7 @@ mod tests {
             .iter()
             .any(|a| matches!(a, MergeAction::ForwardLoad { .. })));
         out.clear();
-        assert!(m.on_load_resp(t(12), PLANE, addr, 4096, &mut out));
+        assert!(m.on_load_resp(t(12), PLANE, addr, 4096, waiter(3), &mut out));
         assert_eq!(
             out.iter()
                 .filter(|a| matches!(a, MergeAction::RespondLoad { .. }))
@@ -1199,9 +1175,10 @@ mod tests {
 
     #[test]
     fn entry_fault_refetches_load_waiters() {
-        // Two queued waiters lose their session to an SRAM fault: both are
-        // re-forwarded, the entry is gone, and the recorded progress lets
-        // the third requester finish the address.
+        // Two queued waiters lose their session to an SRAM fault: the
+        // merged one is re-forwarded (the first still has its own fetch in
+        // flight), the entry is gone, and the recorded progress lets the
+        // third requester finish the address.
         let mut m = faulty_unit(4, 1.0, 100);
         let addr = Addr::new(GpuId(3), 0x1000);
         let mut out = Vec::new();
@@ -1215,17 +1192,45 @@ mod tests {
             out.iter()
                 .filter(|a| matches!(a, MergeAction::ForwardLoad { .. }))
                 .count(),
-            2,
-            "both waiters refetch"
+            1,
+            "only the merged waiter refetches"
         );
         assert!(!m.has_entries(), "faulted entry evicted");
         // The in-flight (now orphaned) response passes through untouched.
         out.clear();
-        assert!(!m.on_load_resp(t(4), PLANE, addr, 4096, &mut out));
+        assert!(!m.on_load_resp(t(4), PLANE, addr, 4096, waiter(0), &mut out));
         // The last requester completes the address via the history record.
         m.on_load_req(t(5), PLANE, addr, 4096, waiter(2), &mut out);
-        assert!(m.on_load_resp(t(6), PLANE, addr, 4096, &mut out));
+        assert!(m.on_load_resp(t(6), PLANE, addr, 4096, waiter(2), &mut out));
         assert!(!m.has_entries(), "address fully retired");
+    }
+
+    #[test]
+    fn refetched_reply_passes_a_successor_session_by() {
+        // After an entry fault, waiter 1's refetch is still in flight when
+        // waiter 2 opens a successor session. Waiter 1's reply must reach
+        // waiter 1, not feed waiter 2's session.
+        let mut m = faulty_unit(4, 1.0, 100);
+        let addr = Addr::new(GpuId(3), 0x1000);
+        let mut out = Vec::new();
+        m.on_load_req(t(1), PLANE, addr, 4096, waiter(0), &mut out);
+        m.on_load_req(t(2), PLANE, addr, 4096, waiter(1), &mut out);
+        let mut rng = JitterRng::seed_from(7);
+        m.inject_entry_faults(PLANE, &mut rng, &mut out);
+        m.on_load_req(t(3), PLANE, addr, 4096, waiter(2), &mut out);
+        out.clear();
+        assert!(!m.on_load_resp(t(4), PLANE, addr, 4096, waiter(1), &mut out));
+        assert!(!m.on_load_resp(t(5), PLANE, addr, 4096, waiter(0), &mut out));
+        assert!(out.is_empty(), "passthroughs emit nothing");
+        assert!(m.on_load_resp(t(6), PLANE, addr, 4096, waiter(2), &mut out));
+        let answered: Vec<Waiter> = out
+            .iter()
+            .filter_map(|a| match a {
+                MergeAction::RespondLoad { waiter, .. } => Some(*waiter),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(answered, vec![waiter(2)]);
     }
 
     #[test]

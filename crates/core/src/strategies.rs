@@ -39,6 +39,7 @@ use gpu_sim::{KernelCost, MemOp, MemOpKind, Phase, ReadyPolicy, TbDesc};
 use llm_workload::{CollKind, Dfg, NodeId, NodeKind};
 use noc_sim::SwitchLogic;
 use sim_core::{GpuId, KernelId, SimDuration, TileId};
+use std::sync::Arc;
 
 /// Published CAIS variants.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -374,12 +375,10 @@ impl CaisStrategy {
                         // Owner-side waiter so the kernel completes when
                         // the reduction lands; gatherers for AllReduce.
                         let wid = ctx.ids.tb();
-                        per_gpu_tbs[owner.index()].push(TbDesc::compute_only(
-                            wid,
-                            order_key + 1,
-                            SimDuration::from_ns(100),
-                        ));
-                        ctx.prog.tb_ready_deps.insert(wid, vec![tile]);
+                        per_gpu_tbs[owner.index()].push(
+                            TbDesc::compute_only(wid, order_key + 1, SimDuration::from_ns(100))
+                                .gated_on([tile]),
+                        );
                         if kind == CollKind::AllReduce {
                             for (g, gpu_tbs) in per_gpu_tbs.iter_mut().enumerate() {
                                 if g == owner.index() {
@@ -397,8 +396,9 @@ impl CaisStrategy {
                                     }],
                                     wait: true,
                                 };
-                                gpu_tbs.push(TbDesc::new(lid, order_key + 2, vec![load]));
-                                ctx.prog.tb_ready_deps.insert(lid, vec![tile]);
+                                gpu_tbs.push(
+                                    TbDesc::new(lid, order_key + 2, vec![load]).gated_on([tile]),
+                                );
                             }
                         }
                     }
@@ -429,7 +429,6 @@ impl CaisStrategy {
                                 wait: true,
                             };
                             gpu_tbs.push(TbDesc::new(lid, s * 4096 + ci as u64, vec![load]));
-                            ctx.prog.tb_ready_deps.insert(lid, vec![]);
                         }
                     }
                 }
@@ -438,11 +437,6 @@ impl CaisStrategy {
         let mut out = Vec::with_capacity(ctx.p());
         for (g, tbs) in per_gpu_tbs.into_iter().enumerate() {
             let after = ctx.prev.after(g, false);
-            // Dependency-gated kernels need every TB in the ready map
-            // (an absent entry would never become dispatchable).
-            for tb in &tbs {
-                ctx.prog.tb_ready_deps.entry(tb.id).or_default();
-            }
             let kname = format!("coll.{name}");
             out.push(push_kernel(
                 &mut ctx.prog,
@@ -451,7 +445,7 @@ impl CaisStrategy {
                 kname,
                 tbs,
                 after,
-                Launch::GATED,
+                Launch::PLAIN,
             ));
         }
         ctx.set_stage_output(out);
@@ -580,7 +574,7 @@ impl CaisStrategy {
                 producer_name.as_str(),
                 tbs,
                 after,
-                Launch::READY,
+                Launch::PLAIN,
             );
             producer_kids.push(kid);
         }
@@ -614,6 +608,8 @@ impl CaisStrategy {
             let owner = self.shard_owner(mi, n_mb, p);
             owned_red_tiles[owner.index()].extend(red_tiles[mi as usize].iter().copied());
         }
+        let owned_red_tiles: Vec<Arc<[TileId]>> =
+            owned_red_tiles.into_iter().map(Arc::from).collect();
 
         let mut mid_tbs: Vec<Vec<TbDesc>> = (0..ctx.p()).map(|_| Vec::new()).collect();
         let has_middle_work = !middle.is_empty() || gather.is_some() || consumer.is_some();
@@ -639,13 +635,12 @@ impl CaisStrategy {
                         wait: false,
                     },
                 ];
-                let tb = TbDesc::new(ctx.ids.tb(), mi, phases);
                 let deps = if self.fused {
-                    red_tiles[mi as usize].clone()
+                    red_tiles[mi as usize].as_slice().into()
                 } else {
-                    owned_red_tiles[owner.index()].clone()
+                    Arc::clone(&owned_red_tiles[owner.index()])
                 };
-                ctx.prog.tb_ready_deps.insert(tb.id, deps);
+                let tb = TbDesc::new(ctx.ids.tb(), mi, phases).gated_on(deps);
                 mid_tbs[owner.index()].push(tb);
             }
         }
@@ -678,7 +673,7 @@ impl CaisStrategy {
                     mid_name.as_str(),
                     tbs,
                     after,
-                    Launch::GATED,
+                    Launch::PLAIN,
                 );
                 mid_kids.push(kid);
             }
@@ -750,6 +745,19 @@ impl CaisStrategy {
         for mi in 0..n_mb {
             let owner = self.shard_owner(mi, n_mb, p);
             let m_len = tile.min(m - mi * tile);
+            // The band's gate lists, shared by its TBs: the band gate, and
+            // the band gate plus the band's operand tiles.
+            let band: &[TileId] = match band_gate {
+                Some(gate) if self.fused => std::slice::from_ref(&gate[mi as usize]),
+                Some(gate) => gate,
+                None => &[],
+            };
+            let band_deps: Arc<[TileId]> = band.into();
+            let sibling_deps: Arc<[TileId]> = band
+                .iter()
+                .copied()
+                .chain(op_tiles[mi as usize].iter().map(|(_, t)| *t))
+                .collect();
             // Coordination row: the designated fetchers (nj == 0) of the
             // p - 1 non-owner GPUs.
             let mut fetcher_row: Vec<TbDesc> = Vec::new();
@@ -759,16 +767,7 @@ impl CaisStrategy {
                 for (g, gpu_tbs) in tbs.iter_mut().enumerate() {
                     let id = ctx.ids.tb();
                     let mut phases = Vec::new();
-                    let mut deps = match band_gate {
-                        Some(gate) => {
-                            if self.fused {
-                                vec![gate[mi as usize]]
-                            } else {
-                                gate.to_vec()
-                            }
-                        }
-                        None => vec![],
-                    };
+                    let mut deps = &band_deps;
                     if g != owner.index() {
                         if ni == 0 {
                             // Designated fetcher: issues the band's
@@ -791,12 +790,11 @@ impl CaisStrategy {
                             // a sibling holding an SM slot while its
                             // band's fetcher is still queued can starve
                             // the fetchers outright at scale.
-                            deps.extend(op_tiles[mi as usize].iter().map(|(_, t)| *t));
+                            deps = &sibling_deps;
                         }
                     }
                     phases.push(Phase::Compute(t_compute));
-                    let tb = TbDesc::new(id, mi * n_nb + ni, phases);
-                    ctx.prog.tb_ready_deps.insert(id, deps);
+                    let tb = TbDesc::new(id, mi * n_nb + ni, phases).gated_on(Arc::clone(deps));
                     if ni == 0 && g != owner.index() {
                         fetcher_row.push(tb);
                     } else {
@@ -835,7 +833,7 @@ impl CaisStrategy {
                 kname,
                 kernel_tbs,
                 after.clone(),
-                Launch::GATED,
+                Launch::PLAIN,
             );
             out.push(kid);
         }

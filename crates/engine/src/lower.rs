@@ -64,12 +64,10 @@ pub fn chunk_ranges(bytes: u64, chunk: u64) -> Vec<(u64, u64)> {
         .collect()
 }
 
-/// How a lowered kernel launches: the [`KernelDesc`] flags.
+/// How a lowered kernel launches: the [`KernelDesc`] flags. Readiness
+/// is per TB ([`TbDesc::ready_after`]), not per kernel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Launch {
-    /// Every TB is ready at launch ([`KernelDesc::tbs_auto_ready`]);
-    /// otherwise each TB waits for its `tb_ready_deps` tiles.
-    pub auto_ready: bool,
     /// No host launch overhead ([`KernelDesc::fused_launch`]).
     pub fused: bool,
     /// Persistent-kernel dispatch in `order_key` order
@@ -78,21 +76,13 @@ pub struct Launch {
 }
 
 impl Launch {
-    /// Every TB ready at launch: plain compute kernels.
-    pub const READY: Launch = Launch {
-        auto_ready: true,
+    /// A plain kernel: launch overhead and jittered TB dispatch.
+    pub const PLAIN: Launch = Launch {
         fused: false,
         ordered: false,
     };
-    /// TBs gated on their `tb_ready_deps` tiles.
-    pub const GATED: Launch = Launch {
-        auto_ready: false,
-        fused: false,
-        ordered: false,
-    };
-    /// A gated persistent communication kernel (ring / NVLS collectives).
+    /// A persistent communication kernel (ring / NVLS collectives).
     pub const ORDERED: Launch = Launch {
-        auto_ready: false,
         fused: false,
         ordered: true,
     };
@@ -116,7 +106,6 @@ pub fn push_kernel(
             id: ids.kernel(),
             name: name.into(),
             tbs,
-            tbs_auto_ready: launch.auto_ready,
             fused_launch: launch.fused,
             ordered: launch.ordered,
         },
@@ -178,7 +167,7 @@ impl GemmLowering {
                     node.name.as_str(),
                     tbs,
                     after(g),
-                    Launch::READY,
+                    Launch::PLAIN,
                 )
             })
             .collect()
@@ -287,9 +276,9 @@ mod tests {
             assert_eq!(k.gpu, GpuId(g as u16));
             assert_eq!(k.after, vec![KernelId(100 + g as u32)]);
             assert_eq!(k.desc.tbs.len(), 4 * 2);
-            assert!(k.desc.tbs_auto_ready);
             for (i, tb) in k.desc.tbs.iter().enumerate() {
                 assert_eq!(tb.order_key, i as u64);
+                assert!(tb.ready_after.is_empty());
                 assert!(matches!(tb.phases.as_slice(),
                     [Phase::Compute(d)] if *d > SimDuration::ZERO));
             }
@@ -322,7 +311,6 @@ mod tests {
         assert_eq!(kid, KernelId(0));
         assert_eq!(k.desc.id, kid);
         assert_eq!(k.gpu, GpuId(1));
-        assert!(!k.desc.tbs_auto_ready);
         assert!(k.desc.ordered);
         assert!(!k.desc.fused_launch);
     }

@@ -22,10 +22,6 @@ pub struct PlannedKernel {
 pub struct Program {
     /// All kernel instances.
     pub kernels: Vec<PlannedKernel>,
-    /// Fine-grained readiness: a TB (in a kernel with
-    /// `tbs_auto_ready = false`) becomes dispatchable only when these
-    /// tiles are present on its GPU.
-    pub tb_ready_deps: HashMap<TbId, Vec<TileId>>,
     /// Reduction tiles needing more than one contribution before they
     /// count as present (e.g. `p` partial sums).
     pub tile_expected: HashMap<TileId, u32>,

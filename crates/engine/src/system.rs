@@ -210,28 +210,27 @@ impl<L: SwitchLogic<Msg>> SystemSim<L> {
         let mut tiles: Vec<DenseMap<TileId, TileEntry>> =
             (0..cfg.n_gpus).map(|_| DenseMap::new()).collect();
         let mut tb_ready_remaining: DenseMap<TbId, usize> = DenseMap::with_capacity(n_tbs);
-        let mut ready_pending: DenseSet<TbId> = DenseSet::with_capacity(n_tbs);
-        // Deterministic registration order: waiter lists (and therefore
-        // FIFO tie-breaks downstream) must not depend on hash order.
-        let mut ready_deps: Vec<(&TbId, &Vec<TileId>)> = program.tb_ready_deps.iter().collect();
-        ready_deps.sort_by_key(|(tb, _)| **tb);
-        for (tb, dep_tiles) in ready_deps {
-            let gpu = tb_loc
-                .get(*tb)
-                .unwrap_or_else(|| panic!("ready dep for unknown TB {tb}"))
-                .gpu;
-            if dep_tiles.is_empty() {
-                // Dependency-gated kernel but this TB has no prerequisites:
-                // it is ready the moment its kernel launches.
-                ready_pending.insert(*tb);
-                continue;
+        // Tile gates register their waiters in TbId order: waiter lists
+        // (and therefore FIFO tie-breaks downstream) must not depend on
+        // kernel order.
+        let mut gated: Vec<(TbId, u32, u32)> = Vec::new();
+        for (ki, k) in program.kernels.iter().enumerate() {
+            for (ti, tb) in k.desc.tbs.iter().enumerate() {
+                if !tb.ready_after.is_empty() {
+                    gated.push((tb.id, ki as u32, ti as u32));
+                }
             }
-            tb_ready_remaining.insert(*tb, dep_tiles.len());
-            for tile in dep_tiles {
-                tiles[gpu.index()]
+        }
+        gated.sort_unstable();
+        for (tb, ki, ti) in gated {
+            let k = &program.kernels[ki as usize];
+            let gates = &k.desc.tbs[ti as usize].ready_after;
+            tb_ready_remaining.insert(tb, gates.len());
+            for tile in gates.iter() {
+                tiles[k.gpu.index()]
                     .get_or_default(*tile)
                     .ready_waiters
-                    .push(*tb);
+                    .push(tb);
             }
         }
 
@@ -257,7 +256,7 @@ impl<L: SwitchLogic<Msg>> SystemSim<L> {
             tb_loc,
             tb_blocked: DenseMap::with_capacity(n_tbs),
             tb_ready_remaining,
-            ready_pending,
+            ready_pending: DenseSet::with_capacity(n_tbs),
             tiles,
             tile_expected,
             preaccess_blocked: vec![Vec::new(); cfg.n_gpus * n_groups],
@@ -1074,7 +1073,7 @@ impl<L: SwitchLogic<Msg>> SystemSim<L> {
             })));
         }
         // Mandatory end-of-run quiescence verification: every queue
-        // drained, every slab empty, no orphaned retransmission state.
+        // drained and every merge session closed.
         // Runs on the success path precisely so that silent bookkeeping
         // leaks cannot survive a "passing" run.
         if self.cfg.audit.enabled {
@@ -1145,6 +1144,7 @@ mod tests {
             order_key: 0,
             group: None,
             pre_launch_sync: false,
+            ready_after: Default::default(),
             phases: vec![
                 Phase::IssueMem {
                     ops: vec![MemOp {
@@ -1187,6 +1187,7 @@ mod tests {
             order_key: key,
             group: None,
             pre_launch_sync: false,
+            ready_after: Default::default(),
             phases: vec![Phase::IssueMem {
                 ops: vec![MemOp {
                     kind: MemOpKind::RemoteLoad,
@@ -1226,6 +1227,7 @@ mod tests {
                 order_key: 0,
                 group: None,
                 pre_launch_sync: false,
+                ready_after: Default::default(),
                 phases: vec![
                     Phase::Compute(SimDuration::from_us(2)),
                     Phase::IssueMem {
@@ -1249,22 +1251,16 @@ mod tests {
             });
         }
         let consumer_tb = ids.tb();
-        let mut desc = KernelDesc::new(
+        let desc = KernelDesc::new(
             ids.kernel(),
             "consumer",
-            vec![TbDesc::compute_only(
-                consumer_tb,
-                0,
-                SimDuration::from_us(1),
-            )],
+            vec![TbDesc::compute_only(consumer_tb, 0, SimDuration::from_us(1)).gated_on([tile])],
         );
-        desc.tbs_auto_ready = false;
         p.push(PlannedKernel {
             gpu: GpuId(0),
             desc,
             after: vec![],
         });
-        p.tb_ready_deps.insert(consumer_tb, vec![tile]);
         p.tile_expected.insert(tile, 3);
         let report = run(cfg, p);
         let span = report
@@ -1340,6 +1336,7 @@ mod tests {
                 order_key: 0,
                 group: None,
                 pre_launch_sync: false,
+                ready_after: Default::default(),
                 phases: vec![Phase::IssueMem { ops, wait: true }],
             };
             let mut p = Program::new();
@@ -1383,6 +1380,7 @@ mod tests {
             order_key: 0,
             group: None,
             pre_launch_sync: false,
+            ready_after: Default::default(),
             phases: vec![Phase::WaitTiles(vec![tile])],
         };
         let mut p = Program::new();
@@ -1455,6 +1453,7 @@ mod tests {
             order_key: 0,
             group: None,
             pre_launch_sync: false,
+            ready_after: Default::default(),
             phases: vec![Phase::IssueMem {
                 ops: vec![MemOp {
                     kind: MemOpKind::RemoteLoad,
@@ -1506,6 +1505,7 @@ mod tests {
             order_key: 0,
             group: None,
             pre_launch_sync: false,
+            ready_after: Default::default(),
             phases: vec![Phase::IssueMem { ops, wait: true }],
         };
         let mut p = Program::new();
@@ -1531,6 +1531,7 @@ mod tests {
                 order_key: 0,
                 group: None,
                 pre_launch_sync: false,
+                ready_after: Default::default(),
                 phases: vec![
                     Phase::IssueMem {
                         ops: vec![MemOp {
@@ -1610,6 +1611,7 @@ mod tests {
             order_key: 0,
             group: None,
             pre_launch_sync: false,
+            ready_after: Default::default(),
             phases: vec![Phase::IssueMem {
                 ops: vec![MemOp {
                     kind: MemOpKind::RemoteWrite,
@@ -1628,22 +1630,16 @@ mod tests {
             desc: KernelDesc::new(ids.kernel(), "writer", vec![writer]),
             after: vec![],
         });
-        let mut desc = KernelDesc::new(
+        let desc = KernelDesc::new(
             ids.kernel(),
             "reader",
-            vec![TbDesc::compute_only(
-                consumer_tb,
-                0,
-                SimDuration::from_us(1),
-            )],
+            vec![TbDesc::compute_only(consumer_tb, 0, SimDuration::from_us(1)).gated_on([tile])],
         );
-        desc.tbs_auto_ready = false;
         p.push(PlannedKernel {
             gpu: GpuId(1),
             desc,
             after: vec![],
         });
-        p.tb_ready_deps.insert(consumer_tb, vec![tile]);
         let report = run(cfg, p);
         let span = report
             .kernel_spans

@@ -1,7 +1,7 @@
 //! The per-GPU execution simulator.
 
 use crate::config::{GpuConfig, ReadyPolicy};
-use crate::kernel::{KernelDesc, MemOp, Phase, SyncKind, TbDesc};
+use crate::kernel::{KernelDesc, MemOp, Phase, SyncKind};
 use sim_core::rng::JitterRng;
 use sim_core::{
     DenseMap, DenseSet, EventQueue, GroupId, KernelId, SimDuration, SimTime, TbId, TileId,
@@ -86,10 +86,15 @@ enum TbState {
 }
 
 /// One launched TB, stored at its slot in [`GpuSim`]'s launch-ordered
-/// table.
+/// table. It keeps the [`TbDesc`](crate::TbDesc) fields the GPU reads
+/// after launch; the tile gates are consumed at launch into `deps_ok`.
 #[derive(Debug)]
 struct TbRuntime {
-    desc: TbDesc,
+    id: TbId,
+    order_key: u64,
+    group: Option<GroupId>,
+    pre_launch_sync: bool,
+    phases: Vec<Phase>,
     kernel: KernelId,
     state: TbState,
     armed: bool,
@@ -243,8 +248,12 @@ impl GpuSim {
         }
         self.tbs
             .extend(kernel.tbs.into_iter().map(|desc| TbRuntime {
-                deps_ok: kernel.tbs_auto_ready,
-                desc,
+                id: desc.id,
+                order_key: desc.order_key,
+                group: desc.group,
+                pre_launch_sync: desc.pre_launch_sync,
+                phases: desc.phases,
+                deps_ok: desc.ready_after.is_empty(),
                 kernel: kernel.id,
                 state: TbState::Waiting,
                 armed: false,
@@ -256,8 +265,9 @@ impl GpuSim {
         first
     }
 
-    /// Marks the dependency-gated TB at `slot` as ready (engine resolved
-    /// its inputs).
+    /// Marks the TB at `slot`, gated on
+    /// [`TbDesc::ready_after`](crate::TbDesc::ready_after), as ready
+    /// (the engine saw every gate tile present).
     ///
     /// # Panics
     ///
@@ -305,7 +315,7 @@ impl GpuSim {
                 self.ready.push(Reverse((0, seq, slot)));
                 self.push_dispatch(time);
             }
-            other => panic!("resume_tb: {} is {other:?}, not blocked", rt.desc.id),
+            other => panic!("resume_tb: {} is {other:?}, not blocked", rt.id),
         }
     }
 
@@ -366,7 +376,7 @@ impl GpuSim {
         self.tbs
             .iter()
             .filter(|rt| rt.state != TbState::Done)
-            .map(|rt| rt.desc.id)
+            .map(|rt| rt.id)
             .collect()
     }
 
@@ -431,11 +441,11 @@ impl GpuSim {
     fn enqueue_ready(&mut self, time: SimTime, slot: u32) {
         let rt = &self.tbs[slot as usize];
         let key = if self.kernel_ordered(rt.kernel) {
-            rt.desc.order_key
+            rt.order_key
         } else {
             match self.cfg.ready_policy {
                 ReadyPolicy::Fifo => time.as_ps(),
-                ReadyPolicy::GroupOrdered => rt.desc.order_key,
+                ReadyPolicy::GroupOrdered => rt.order_key,
             }
         };
         let seq = self.ready_seq;
@@ -453,7 +463,7 @@ impl GpuSim {
                 for (slot, rt) in (k.first..).zip(&mut self.tbs[range]) {
                     rt.armed = true;
                     if rt.deps_ok && !rt.enqueued_or_pending {
-                        ready.push((rt.desc.order_key, rt.desc.id, slot));
+                        ready.push((rt.order_key, rt.id, slot));
                     }
                 }
                 // Deterministic arming order: hardware drains the grid in
@@ -468,11 +478,11 @@ impl GpuSim {
             }
             GpuEvent::ReadyAt(slot) => {
                 let rt = &mut self.tbs[slot as usize];
-                if rt.desc.pre_launch_sync {
-                    let group = rt.desc.group.expect("pre_launch_sync TB must have a group");
+                if rt.pre_launch_sync {
+                    let group = rt.group.expect("pre_launch_sync TB must have a group");
                     if !self.released_groups.contains(group) {
                         rt.state = TbState::PendingGroup;
-                        let tb = rt.desc.id;
+                        let tb = rt.id;
                         self.pending_group.get_or_default(group).push(slot);
                         self.effects.push((
                             now,
@@ -496,7 +506,7 @@ impl GpuSim {
                 let rt = &mut self.tbs[slot as usize];
                 let phase = match rt.state {
                     TbState::Running { phase } => phase,
-                    other => panic!("PhaseDone for {} in state {other:?}", rt.desc.id),
+                    other => panic!("PhaseDone for {} in state {other:?}", rt.id),
                 };
                 rt.state = TbState::Running { phase: phase + 1 };
                 self.step_tb(now, slot);
@@ -523,12 +533,12 @@ impl GpuSim {
     fn step_tb(&mut self, now: SimTime, slot: u32) {
         loop {
             let rt = &mut self.tbs[slot as usize];
-            let tb = rt.desc.id;
+            let tb = rt.id;
             let phase_idx = match rt.state {
                 TbState::Running { phase } => phase,
                 other => panic!("step_tb for {tb} in state {other:?}"),
             };
-            if phase_idx >= rt.desc.phases.len() {
+            if phase_idx >= rt.phases.len() {
                 self.complete_tb(now, slot);
                 return;
             }
@@ -536,7 +546,7 @@ impl GpuSim {
             // exactly once (blocked/yielded TBs resume at the *next*
             // phase index), so the heap payloads (`ops`, `tiles`) can be
             // moved instead of deep-cloned on every step.
-            let phase = match &mut rt.desc.phases[phase_idx] {
+            let phase = match &mut rt.phases[phase_idx] {
                 Phase::Compute(d) => Phase::Compute(*d),
                 Phase::IssueMem { ops, wait } => Phase::IssueMem {
                     ops: std::mem::take(ops),
@@ -576,7 +586,7 @@ impl GpuSim {
                     };
                 }
                 Phase::SyncGroup(kind) => {
-                    let group = rt.desc.group.expect("SyncGroup phase requires a TB group");
+                    let group = rt.group.expect("SyncGroup phase requires a TB group");
                     // Yield the slot for the wait: the warp scheduler
                     // issues independent work meanwhile (paper Sec.
                     // III-B-2), so a cross-GPU sync never pins an SM.
@@ -606,7 +616,7 @@ impl GpuSim {
     fn complete_tb(&mut self, now: SimTime, slot: u32) {
         let rt = &mut self.tbs[slot as usize];
         rt.state = TbState::Done;
-        let (tb, kernel) = (rt.desc.id, rt.kernel);
+        let (tb, kernel) = (rt.id, rt.kernel);
         self.slots_free += 1;
         self.note_occupancy_change(now, -1);
         self.effects
@@ -624,6 +634,7 @@ impl GpuSim {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernel::TbDesc;
     use sim_core::KernelId;
 
     fn quiet_cfg() -> GpuConfig {
@@ -704,6 +715,7 @@ mod tests {
             order_key: 0,
             group: None,
             pre_launch_sync: false,
+            ready_after: Default::default(),
             phases: vec![
                 Phase::IssueMem {
                     ops: vec![],
@@ -735,8 +747,8 @@ mod tests {
     #[test]
     fn dependency_gated_tbs_wait_for_engine() {
         let mut gpu = GpuSim::new(quiet_cfg(), 1);
-        let mut k = KernelDesc::new(KernelId(0), "k", vec![compute_tb(0, 1)]);
-        k.tbs_auto_ready = false;
+        let tb = compute_tb(0, 1).gated_on([TileId(0)]);
+        let k = KernelDesc::new(KernelId(0), "k", vec![tb]);
         let slot = gpu.launch_kernel(SimTime::ZERO, k);
         while let Some(t) = gpu.next_time() {
             gpu.advance(t);
@@ -759,6 +771,7 @@ mod tests {
             order_key: 0,
             group: Some(GroupId(7)),
             pre_launch_sync: true,
+            ready_after: Default::default(),
             phases: vec![Phase::Compute(SimDuration::from_us(2))],
         };
         gpu.launch_kernel(SimTime::ZERO, KernelDesc::new(KernelId(0), "k", vec![tb]));
@@ -796,6 +809,7 @@ mod tests {
             order_key: 0,
             group: Some(GroupId(1)),
             pre_launch_sync: false,
+            ready_after: Default::default(),
             phases: vec![
                 Phase::SyncGroup(SyncKind::PreAccess),
                 Phase::Compute(SimDuration::from_us(1)),
@@ -868,6 +882,7 @@ mod tests {
             order_key: 0,
             group: None,
             pre_launch_sync: false,
+            ready_after: Default::default(),
             phases: vec![
                 Phase::Compute(SimDuration::from_us(1)),
                 Phase::SignalTile(TileId(5)),
@@ -878,6 +893,7 @@ mod tests {
             order_key: 1,
             group: None,
             pre_launch_sync: false,
+            ready_after: Default::default(),
             phases: vec![
                 Phase::WaitTiles(vec![TileId(5)]),
                 Phase::Compute(SimDuration::from_us(1)),
@@ -995,6 +1011,7 @@ mod tests {
             order_key,
             group: None,
             pre_launch_sync: false,
+            ready_after: Default::default(),
             phases: vec![
                 Phase::WaitTiles(vec![TileId(id)]),
                 Phase::Compute(SimDuration::from_us(1)),
@@ -1017,8 +1034,8 @@ mod tests {
             vec![waiting_tb(90, 1), waiting_tb(12, 0), waiting_tb(40, 1)],
         );
         let b = KernelDesc::new(KernelId(2), "b", vec![waiting_tb(77, 0), waiting_tb(5, 0)]);
-        let mut c = KernelDesc::new(KernelId(9), "c", vec![waiting_tb(63, 0), waiting_tb(8, 0)]);
-        c.tbs_auto_ready = false;
+        let gated = |id| waiting_tb(id, 0).gated_on([TileId(1000 + id)]);
+        let c = KernelDesc::new(KernelId(9), "c", vec![gated(63), gated(8)]);
         let first_a = gpu.launch_kernel(SimTime::ZERO, a);
         let first_b = gpu.launch_kernel(SimTime::from_us(2), b);
         let first_c = gpu.launch_kernel(SimTime::from_us(2), c);

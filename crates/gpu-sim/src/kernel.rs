@@ -1,6 +1,7 @@
 //! Kernel and thread-block descriptors.
 
 use sim_core::{Addr, GroupId, KernelId, SimDuration, Symbol, TbId, TileId};
+use std::sync::Arc;
 
 /// The kind of a remote memory operation issued by a TB.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -88,11 +89,16 @@ pub struct TbDesc {
     pub pre_launch_sync: bool,
     /// Execution phases, run in order.
     pub phases: Vec<Phase>,
+    /// Tile gates (fine-grained cross-kernel dependencies): the TB becomes
+    /// dispatchable only once the engine has seen every listed tile
+    /// present on its GPU. A TB with no gates is ready at launch. The
+    /// list is shared: TBs gated on the same tiles hold one copy of it.
+    pub ready_after: Arc<[TileId]>,
 }
 
 impl TbDesc {
-    /// Creates an ungrouped TB (no CAIS group, no pre-launch sync) that
-    /// runs `phases` in order.
+    /// Creates an ungrouped, ungated TB (no CAIS group, no pre-launch
+    /// sync, ready at launch) that runs `phases` in order.
     pub fn new(id: TbId, order_key: u64, phases: Vec<Phase>) -> TbDesc {
         TbDesc {
             id,
@@ -100,7 +106,14 @@ impl TbDesc {
             group: None,
             pre_launch_sync: false,
             phases,
+            ready_after: Arc::default(),
         }
+    }
+
+    /// Gates dispatch on `tiles` (see [`TbDesc::ready_after`]).
+    pub fn gated_on(mut self, tiles: impl Into<Arc<[TileId]>>) -> TbDesc {
+        self.ready_after = tiles.into();
+        self
     }
 
     /// Creates a plain compute TB with no communication.
@@ -120,10 +133,6 @@ pub struct KernelDesc {
     pub name: Symbol,
     /// The grid.
     pub tbs: Vec<TbDesc>,
-    /// When false, TBs additionally wait for the engine to mark them ready
-    /// (fine-grained cross-kernel dependencies); when true every TB is
-    /// ready as soon as the kernel launches.
-    pub tbs_auto_ready: bool,
     /// Skip the host launch overhead (used for stages fused into a single
     /// kernel by FuseLib-style strategies).
     pub fused_launch: bool,
@@ -135,13 +144,12 @@ pub struct KernelDesc {
 }
 
 impl KernelDesc {
-    /// Creates a kernel whose TBs are all immediately ready at launch.
+    /// Creates a plain kernel (launch overhead, jittered dispatch).
     pub fn new(id: KernelId, name: impl Into<Symbol>, tbs: Vec<TbDesc>) -> KernelDesc {
         KernelDesc {
             id,
             name: name.into(),
             tbs,
-            tbs_auto_ready: true,
             fused_launch: false,
             ordered: false,
         }
@@ -206,7 +214,7 @@ mod tests {
             .iter()
             .enumerate()
             .all(|(i, tb)| tb.order_key == i as u64));
-        assert!(k.tbs_auto_ready);
+        assert!(k.tbs.iter().all(|tb| tb.ready_after.is_empty()));
         assert!(!k.fused_launch);
         assert!(!k.ordered);
     }

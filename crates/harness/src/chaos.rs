@@ -272,4 +272,19 @@ mod tests {
             assert!(row[..5].iter().all(|v| *v > 0.0), "{label} has empty cells");
         }
     }
+
+    /// This paper-scale cell once deadlocked (`tb22058 -> tile3576@g2
+    /// (fetch in flight)`): after an entry fault, a re-forwarded waiter's
+    /// reply fed a successor session opened by another requester, which
+    /// answered its own waiters and dropped the reply.
+    #[test]
+    fn merge_fault_cell_that_lost_a_load_reply_completes() {
+        let seed = 0x8_63a8_f6f3;
+        let cfg = audited_cfg(Scale::Paper, plan("merge-faults", seed));
+        let model = Scale::Paper.model(&ModelConfig::llama_7b());
+        let dfg = sublayer(&model, cfg.tp(), SubLayer::L2);
+        let report = execute(&CaisStrategy::full(), &dfg, &cfg)
+            .unwrap_or_else(|e| panic!("seed={seed:#x}/CAIS/merge-faults: {e}"));
+        assert!(stat(&report, "cais.entry_faults") > 0.0);
+    }
 }

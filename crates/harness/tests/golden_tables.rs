@@ -17,6 +17,7 @@
 
 use cais_harness::runner::Scale;
 use cais_harness::Table;
+use std::process::Command;
 
 /// Renders tables exactly as `cais-experiments` prints them to stdout:
 /// each table's `render()` followed by a newline.
@@ -55,23 +56,24 @@ fn fig14_smoke_matches_golden() {
     );
 }
 
-/// The conservation auditor must be observe-only: with auditing
-/// force-enabled at runtime (the `--audit` flag's mechanism) the fig11
-/// and fig14 smoke tables must match the same golden bytes.
+/// The conservation auditor must be observe-only: `cais-experiments
+/// fig11 fig14 --smoke --audit` must print the same golden bytes. It runs
+/// as a child process because `--audit` flips a process-wide switch that
+/// would otherwise reach the audit-off tests running beside it here.
 #[test]
 fn audit_is_observe_only_on_golden_tables() {
-    sim_core::audit::set_force_enabled(true);
-    let fig11 = rendered(cais_harness::fig11::run(Scale::Smoke, 1));
-    let fig14 = rendered(cais_harness::fig14::run(Scale::Smoke, 1));
-    sim_core::audit::set_force_enabled(false);
+    let out = Command::new(env!("CARGO_BIN_EXE_cais-experiments"))
+        .args(["fig11", "fig14", "--smoke", "--audit", "--jobs", "2"])
+        .output()
+        .expect("spawn cais-experiments");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "audited run failed: {stderr}");
     assert_eq!(
-        fig11,
-        include_str!("golden/fig11_smoke.txt"),
-        "fig11 output drifted with the audit enabled"
-    );
-    assert_eq!(
-        fig14,
-        include_str!("golden/fig14_smoke.txt"),
-        "fig14 output drifted with the audit enabled"
+        String::from_utf8_lossy(&out.stdout),
+        concat!(
+            include_str!("golden/fig11_smoke.txt"),
+            include_str!("golden/fig14_smoke.txt")
+        ),
+        "fig11/fig14 output drifted with the audit enabled"
     );
 }

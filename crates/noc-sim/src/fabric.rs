@@ -6,8 +6,7 @@ use crate::report::{FabricReport, LinkUsage, ResilienceCounters};
 use sim_core::audit::{AuditProbe, EventRing};
 use sim_core::rng::JitterRng;
 use sim_core::{
-    Bandwidth, EventQueue, FaultPlan, GpuId, PlaneId, SimDuration, SimTime, Slab, SlotHandle,
-    WindowSchedule,
+    Bandwidth, EventQueue, FaultPlan, GpuId, PlaneId, SimDuration, SimTime, WindowSchedule,
 };
 
 /// Static fabric parameters (Sec. IV-A of the paper).
@@ -172,12 +171,6 @@ struct FabricFaults {
     degrade_factor: f64,
     retx: sim_core::RetxConfig,
     links: Vec<LinkFault>,
-    /// Per-packet drop counts, held in a generation-tagged slab arena.
-    /// A packet stores its [`SlotHandle`] (allocated lazily at the first
-    /// drop) and the slot is recycled on delivery or budget exhaustion;
-    /// the arena is never iterated, so slot order cannot leak into
-    /// results, and stale handles resolve to `None` by construction.
-    attempts: Slab<u32>,
     counters: ResilienceCounters,
 }
 
@@ -204,7 +197,6 @@ impl FabricFaults {
             degrade_factor: plan.degrade.as_ref().map_or(1.0, |d| d.factor),
             retx: plan.retx.clone(),
             links,
-            attempts: Slab::new(),
             counters: ResilienceCounters::default(),
         }
     }
@@ -212,39 +204,28 @@ impl FabricFaults {
     /// Decides the fate of a packet whose final segment just left link
     /// `li`: `None` delivers it, `Some(backoff)` drops it and asks the
     /// caller to retransmit after `backoff`. One RNG draw per departure.
+    /// `attempts` is the packet's drop count on this hop; it resets to
+    /// zero whenever the packet leaves the link for good.
     ///
     /// A packet that exhausts its retransmit budget is force-delivered so
     /// the simulation always terminates; the exhaustion is counted and the
     /// engine turns it into a typed error at the end of the run.
-    fn departure_fate(&mut self, li: usize, retx: &mut Option<SlotHandle>) -> Option<SimDuration> {
+    fn departure_fate(&mut self, li: usize, attempts: &mut u32) -> Option<SimDuration> {
         if self.drop_rate == 0.0 && self.corrupt_rate == 0.0 {
             return None;
         }
         let r = self.links[li].rng.next_f64();
         if r >= self.drop_rate + self.corrupt_rate {
-            if let Some(h) = retx.take() {
-                self.attempts.remove(h);
-            }
+            *attempts = 0;
             return None;
         }
-        let h = match *retx {
-            Some(h) => h,
-            None => {
-                let h = self.attempts.insert(0);
-                *retx = Some(h);
-                h
-            }
-        };
-        let slot = self.attempts.get_mut(h).expect("live retransmit slot");
-        *slot += 1;
-        let attempt = *slot;
-        if attempt > self.retx.max_retries {
-            self.attempts.remove(h);
-            *retx = None;
+        *attempts += 1;
+        if *attempts > self.retx.max_retries {
+            *attempts = 0;
             self.counters.budget_exhausted += 1;
             return None;
         }
-        let exp = (attempt - 1).min(self.retx.backoff_cap_exp);
+        let exp = (*attempts - 1).min(self.retx.backoff_cap_exp);
         if r < self.drop_rate {
             self.counters.drops += 1;
         } else {
@@ -401,7 +382,7 @@ impl<P: Payload, L: SwitchLogic<P>> Fabric<P, L> {
             dst,
             plane,
             hop: Hop::ToSwitch,
-            retx: None,
+            attempts: 0,
             payload,
         };
         // External callers only inject once the fabric has been advanced
@@ -462,24 +443,36 @@ impl<P: Payload, L: SwitchLogic<P>> Fabric<P, L> {
         self.push_link_free(li, retry_at);
     }
 
+    /// Settles a packet whose final segment left link `li`, with the link
+    /// free again at `free_at`. Returns the packet if it departed for
+    /// good. A packet the fault model drops is put back for
+    /// retransmission after its backoff instead: the wire time was spent,
+    /// but the link idles through the backoff rather than serving the
+    /// next packet.
+    fn depart(&mut self, li: usize, mut pkt: Packet<P>, free_at: SimTime) -> Option<Packet<P>> {
+        self.audit.pkt_served += 1;
+        let fate = self
+            .faults
+            .as_mut()
+            .and_then(|f| f.departure_fate(li, &mut pkt.attempts));
+        match fate {
+            Some(backoff) => {
+                self.requeue_for_retx(li, pkt, free_at + backoff);
+                None
+            }
+            None => Some(pkt),
+        }
+    }
+
     fn serve_link(&mut self, li: usize, now: SimTime, token: u64) {
         if token != self.links[li].token() {
             // Superseded by a burst preemption.
             return;
         }
-        if let Some((mut pkt, arrive_at)) = self.links[li].finish_burst(now) {
-            self.audit.pkt_served += 1;
-            let fate = self
-                .faults
-                .as_mut()
-                .and_then(|f| f.departure_fate(li, &mut pkt.retx));
-            if let Some(backoff) = fate {
-                // The wire time was spent (busy/bytes already accounted by
-                // the link) but the packet was lost: retransmit after the
-                // backoff instead of serving the next packet.
-                self.requeue_for_retx(li, pkt, now + backoff);
+        if let Some((pkt, arrive_at)) = self.links[li].finish_burst(now) {
+            let Some(pkt) = self.depart(li, pkt, now) else {
                 return;
-            }
+            };
             self.push_arrival(pkt, arrive_at);
         }
         // Transient outage and degradation windows are evaluated at serve
@@ -516,20 +509,14 @@ impl<P: Payload, L: SwitchLogic<P>> Fabric<P, L> {
                         f.counters.degraded_serves += 1;
                     }
                 }
-                if let Some((mut pkt, arrive_at)) = out.departed {
-                    self.audit.pkt_served += 1;
-                    let fate = self
-                        .faults
-                        .as_mut()
-                        .and_then(|f| f.departure_fate(li, &mut pkt.retx));
-                    if let Some(backoff) = fate {
-                        self.requeue_for_retx(li, pkt, out.free_at + backoff);
-                    } else {
-                        self.push_link_free(li, out.free_at);
-                        self.push_arrival(pkt, arrive_at);
+                match out.departed {
+                    Some((pkt, arrive_at)) => {
+                        if let Some(pkt) = self.depart(li, pkt, out.free_at) {
+                            self.push_link_free(li, out.free_at);
+                            self.push_arrival(pkt, arrive_at);
+                        }
                     }
-                } else {
-                    self.push_link_free(li, out.free_at);
+                    None => self.push_link_free(li, out.free_at),
                 }
             }
         }
@@ -558,7 +545,7 @@ impl<P: Payload, L: SwitchLogic<P>> Fabric<P, L> {
                         dst,
                         plane,
                         hop: Hop::ToGpu,
-                        retx: None,
+                        attempts: 0,
                         payload,
                     };
                     self.enqueue_on_link(now, pkt, false);
@@ -715,8 +702,8 @@ impl<P: Payload, L: SwitchLogic<P>> Fabric<P, L> {
     /// * the fabric clock never ran backwards.
     ///
     /// At quiescence additionally: event queue empty, no packet left on
-    /// any link, every scheduled arrival dispatched, deliveries drained,
-    /// and no orphaned retransmission slots.
+    /// any link, every scheduled arrival dispatched, and deliveries
+    /// drained.
     pub fn audit_probe(&self, probe: &mut AuditProbe) {
         let t = &self.audit;
         let queued: u64 = self.links.iter().map(|l| l.queue_len() as u64).sum();
@@ -767,13 +754,6 @@ impl<P: Payload, L: SwitchLogic<P>> Fabric<P, L> {
                 t.arrivals_scheduled,
                 t.arrivals_done,
             );
-            if let Some(f) = &self.faults {
-                probe.require_zero(
-                    "fabric",
-                    "quiescence: no orphaned retransmission entries",
-                    f.attempts.len() as u64,
-                );
-            }
         }
         self.logic.audit_probe(probe);
     }

@@ -445,7 +445,7 @@ mod tests {
             dst: GpuId(1),
             plane: PlaneId(0),
             hop: Hop::ToSwitch,
-            retx: None,
+            attempts: 0,
             payload: id,
         }
     }

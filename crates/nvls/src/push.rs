@@ -55,9 +55,9 @@ pub fn nvls_all_gather(
             multimem(MemOpKind::MulticastStore, addr, len, tile, false),
             Phase::SignalTile(tile),
         ];
-        kb.push(prog, ids, o, phases, deps_for(input, o, gidx));
+        kb.push(ids, o, phases, deps_for(input, o, gidx));
         for g in (0..p).filter(|&g| g != o) {
-            kb.wait(prog, ids, g, tile);
+            kb.wait(ids, g, tile);
         }
     }
     CollOutput {
@@ -98,7 +98,7 @@ pub fn nvls_reduce_scatter(
             multimem(MemOpKind::LoadReduce, addr, len, tile, true),
             Phase::Compute(ADD_STEP),
         ];
-        kb.push(prog, ids, g, phases, deps_for(input, g, gidx));
+        kb.push(ids, g, phases, deps_for(input, g, gidx));
     }
     CollOutput {
         kernel_ids: kb.finish(prog, ids, name, after),
@@ -144,8 +144,8 @@ pub fn nvls_all_reduce(
                 Phase::Compute(COPY_STEP),
                 multimem(MemOpKind::RemoteReduce, addr, len, tile, false),
             ];
-            kb.push(prog, ids, g, phases, deps_for(input, g, gidx));
-            kb.wait(prog, ids, g, tile);
+            kb.push(ids, g, phases, deps_for(input, g, gidx));
+            kb.wait(ids, g, tile);
         }
     }
     CollOutput {

@@ -92,23 +92,20 @@ impl KernelBuilder {
     /// `deps` tiles are present.
     pub(crate) fn push(
         &mut self,
-        prog: &mut Program,
         ids: &mut IdAlloc,
         gpu: usize,
         phases: Vec<Phase>,
         deps: Vec<TileId>,
     ) {
-        let id = ids.tb();
         let tbs = &mut self.tbs[gpu];
-        tbs.push(TbDesc::new(id, tbs.len() as u64, phases));
-        prog.tb_ready_deps.insert(id, deps);
+        tbs.push(TbDesc::new(ids.tb(), tbs.len() as u64, phases).gated_on(deps));
     }
 
     /// Appends a waiter TB to `gpu`'s kernel, so the kernel completes only
     /// once `tile` has landed there, not merely once its sends issued.
-    pub(crate) fn wait(&mut self, prog: &mut Program, ids: &mut IdAlloc, gpu: usize, tile: TileId) {
+    pub(crate) fn wait(&mut self, ids: &mut IdAlloc, gpu: usize, tile: TileId) {
         let phases = vec![Phase::Compute(SimDuration::from_ns(100))];
-        self.push(prog, ids, gpu, phases, vec![tile]);
+        self.push(ids, gpu, phases, vec![tile]);
     }
 
     /// Emits the kernels, one per GPU in GPU order, each launching after
@@ -182,11 +179,11 @@ pub fn ring_all_gather(
                 Phase::Compute(COPY_STEP),
                 remote_write(addr, len, arrival[receiver]),
             ];
-            kb.push(prog, ids, sender, phases, deps);
+            kb.push(ids, sender, phases, deps);
         }
         for (g, t) in arrival.iter().enumerate() {
             if let Some(t) = t {
-                kb.wait(prog, ids, g, *t);
+                kb.wait(ids, g, *t);
             }
         }
         chunk_arrivals.push(arrival);
@@ -232,14 +229,14 @@ pub fn ring_reduce_scatter(
             }
             let addr = ids.addr(GpuId(receiver as u16), len);
             let phases = vec![Phase::Compute(ADD_STEP), remote_write(addr, len, Some(arr))];
-            kb.push(prog, ids, sender, phases, deps);
+            kb.push(ids, sender, phases, deps);
         }
         // Final accumulation at the shard owner.
         let out = ids.tile();
         let mut deps = deps_for(input, t, gidx);
         deps.push(arrival[t].expect("owner receives the running partial"));
         let phases = vec![Phase::Compute(ADD_STEP), Phase::SignalTile(out)];
-        kb.push(prog, ids, t, phases, deps);
+        kb.push(ids, t, phases, deps);
         let mut arr: Vec<Option<TileId>> = vec![None; p];
         arr[t] = Some(out);
         chunk_arrivals.push(arr);

@@ -41,7 +41,6 @@ pub mod ids;
 pub mod intern;
 pub mod queue;
 pub mod rng;
-pub mod slab;
 pub mod smallvec;
 pub mod stats;
 pub mod time;
@@ -56,6 +55,5 @@ pub use ids::{
 };
 pub use intern::Symbol;
 pub use queue::EventQueue;
-pub use slab::{Slab, SlotHandle};
 pub use smallvec::SmallVec;
 pub use time::{SimDuration, SimTime};

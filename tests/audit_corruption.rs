@@ -29,6 +29,7 @@ fn loader_program(ids: &mut IdAlloc, cais: bool) -> Program {
         order_key: 0,
         group: None,
         pre_launch_sync: false,
+        ready_after: Default::default(),
         phases: vec![Phase::IssueMem {
             ops: vec![MemOp {
                 kind: MemOpKind::RemoteLoad,

@@ -7,7 +7,7 @@
 //!
 //! Each case renders its program canonically — kernels in push order with
 //! GPU, id, name, launch flags and `after`; each kernel's TBs with id,
-//! order key, group, pre-launch flag and phases; then `tb_ready_deps` and
+//! order key, group, pre-launch flag, phases and tile gates; then
 //! `tile_expected` sorted by key — and compares the 64-bit FNV-1a digest
 //! of that rendering with the recorded value. On a mismatch the test
 //! prints every case's digest, so an intended change can be re-recorded.
@@ -46,23 +46,18 @@ fn render(h: &mut Fnv, prog: &Program) {
         let d = &k.desc;
         writeln!(
             h,
-            "K {:?} {:?} {} auto={} fused={} ordered={} after={:?}",
-            k.gpu, d.id, d.name, d.tbs_auto_ready, d.fused_launch, d.ordered, k.after
+            "K {:?} {:?} {} fused={} ordered={} after={:?}",
+            k.gpu, d.id, d.name, d.fused_launch, d.ordered, k.after
         )
         .unwrap();
         for tb in &d.tbs {
             writeln!(
                 h,
-                "  T {:?} {} {:?} {} {:?}",
-                tb.id, tb.order_key, tb.group, tb.pre_launch_sync, tb.phases
+                "  T {:?} {} {:?} {} {:?} gates={:?}",
+                tb.id, tb.order_key, tb.group, tb.pre_launch_sync, tb.phases, tb.ready_after
             )
             .unwrap();
         }
-    }
-    let mut deps: Vec<_> = prog.tb_ready_deps.iter().collect();
-    deps.sort_unstable_by_key(|(id, _)| **id);
-    for (id, tiles) in deps {
-        writeln!(h, "D {id:?} {tiles:?}").unwrap();
     }
     let mut expected: Vec<_> = prog.tile_expected.iter().collect();
     expected.sort_unstable_by_key(|(id, _)| **id);
@@ -147,37 +142,37 @@ fn digests() -> Vec<(String, u64)> {
     out
 }
 
-/// Recorded before the lowering code was consolidated behind
-/// `cais_engine::lower`; every later change must reproduce them.
+/// Recorded with each TB's tile gates rendered on its `T` line; every
+/// later change must reproduce them.
 const EXPECTED: &[(&str, u64)] = &[
-    ("TP-NVLS/Forward", 0x7c0c06a7b98c4bef),
-    ("TP-NVLS/Backward", 0xb2185c88bf6bb1a7),
-    ("SP-NVLS/Forward", 0xd56409189cfc40bb),
-    ("SP-NVLS/Backward", 0xdefedbbd1095f591),
-    ("CoCoNet/Forward", 0x767d265e76e708b2),
-    ("CoCoNet/Backward", 0x72daf838b7618ed6),
-    ("FuseLib/Forward", 0xc4af5ae3a62be9e8),
-    ("FuseLib/Backward", 0x2fc2c463218321da),
-    ("T3/Forward", 0xa2dbed2c142b0d2f),
-    ("T3/Backward", 0xb4eb96dae58a85fe),
-    ("CoCoNet-NVLS/Forward", 0x95ecd7a19bceef87),
-    ("CoCoNet-NVLS/Backward", 0xc22acf43c2ed5013),
-    ("FuseLib-NVLS/Forward", 0x80522706405fabf5),
-    ("FuseLib-NVLS/Backward", 0x0e6c4d035c39ffb9),
-    ("T3-NVLS/Forward", 0x01c4d9a850f1ae05),
-    ("T3-NVLS/Backward", 0x9443ecf47ba493f7),
-    ("LADM/Forward", 0x9cb746b9a6771e91),
-    ("LADM/Backward", 0x7ac45be9d8ee7b6b),
-    ("CAIS-Base/Forward", 0xca46a8bd7ca4935f),
-    ("CAIS-Base/Backward", 0xe9d479af36ef43a9),
-    ("CAIS/Forward", 0xf7bed939ea3a95af),
-    ("CAIS/Backward", 0x1444375fc8ff2589),
-    ("ring_all_gather", 0x7edb4ca65e9266e6),
-    ("ring_reduce_scatter", 0x70c3bfed27857a3f),
-    ("ring_all_reduce", 0x7e3f92eac629db67),
-    ("nvls_all_gather", 0x18a11dc865a2cdb4),
-    ("nvls_reduce_scatter", 0x8f8bd8a54573e554),
-    ("nvls_all_reduce", 0xd7d3429a83961a55),
+    ("TP-NVLS/Forward", 0x3c60785bc1833cef),
+    ("TP-NVLS/Backward", 0x9b4975e52c0c7eb1),
+    ("SP-NVLS/Forward", 0x87f6fc0d1f08a14b),
+    ("SP-NVLS/Backward", 0x629bcd6da2f3bd17),
+    ("CoCoNet/Forward", 0x947f807d6d09827e),
+    ("CoCoNet/Backward", 0xee71ea7a7a5b0ce6),
+    ("FuseLib/Forward", 0x4e9e9f0630978d7c),
+    ("FuseLib/Backward", 0xa66c234c29631262),
+    ("T3/Forward", 0x1b59d272f9124fbb),
+    ("T3/Backward", 0x37bbd69e89b5c12e),
+    ("CoCoNet-NVLS/Forward", 0x3d580c5f1f8a6bd3),
+    ("CoCoNet-NVLS/Backward", 0x0d23316dc48feeb5),
+    ("FuseLib-NVLS/Forward", 0x4e141d9cc4c6d791),
+    ("FuseLib-NVLS/Backward", 0xb9c68531e23252d3),
+    ("T3-NVLS/Forward", 0x67f8dcbebba174f3),
+    ("T3-NVLS/Backward", 0xc290334a343a6a75),
+    ("LADM/Forward", 0x37909735ff53b07d),
+    ("LADM/Backward", 0xcc7c75d630d4cd33),
+    ("CAIS-Base/Forward", 0x6501c8ec88b82c63),
+    ("CAIS-Base/Backward", 0x210188e01b7bb16f),
+    ("CAIS/Forward", 0x6f87a87a7d77602f),
+    ("CAIS/Backward", 0xc7c8a29e35d850a3),
+    ("ring_all_gather", 0xc172e8b0b62ef216),
+    ("ring_reduce_scatter", 0xf47dcb437cbc0fdd),
+    ("ring_all_reduce", 0x857ffee8bcd73d3b),
+    ("nvls_all_gather", 0x6456bb29b7ab0040),
+    ("nvls_reduce_scatter", 0xec86f8a58bee2c88),
+    ("nvls_all_reduce", 0xc6c8925404739d71),
 ];
 
 #[test]

@@ -91,6 +91,14 @@ fn fabric_conserves_bytes() {
 /// Merge unit: with an unbounded table, N-1 staggered requesters for
 /// one address produce exactly one forwarded fetch and N-1 responses,
 /// in any arrival order.
+/// The waiter whose request the merge unit forwarded to memory, if any.
+fn forwarded(out: &[cais::core::merge::MergeAction]) -> Option<Waiter> {
+    out.iter().find_map(|a| match a {
+        cais::core::merge::MergeAction::ForwardLoad { waiter, .. } => Some(*waiter),
+        _ => None,
+    })
+}
+
 #[test]
 fn merge_unit_serves_every_requester_once() {
     let mut rng = JitterRng::seed_from(0x4E46);
@@ -118,12 +126,9 @@ fn merge_unit_serves_every_requester_once() {
         for (t, who) in sorted {
             if who == u16::MAX {
                 // A response only arrives if the fetch was forwarded
-                // (first request seen).
-                if out
-                    .iter()
-                    .any(|a| matches!(a, cais::core::merge::MergeAction::ForwardLoad { .. }))
-                {
-                    m.on_load_resp(SimTime::from_ns(t), PlaneId(0), addr, 1024, &mut out);
+                // (first request seen); it answers that request.
+                if let Some(w) = forwarded(&out) {
+                    m.on_load_resp(SimTime::from_ns(t), PlaneId(0), addr, 1024, w, &mut out);
                     responded = true;
                 }
             } else {
@@ -142,7 +147,15 @@ fn merge_unit_serves_every_requester_once() {
             }
         }
         if !responded {
-            m.on_load_resp(SimTime::from_ns(20_000), PlaneId(0), addr, 1024, &mut out);
+            let w = forwarded(&out).expect("first request forwarded");
+            m.on_load_resp(
+                SimTime::from_ns(20_000),
+                PlaneId(0),
+                addr,
+                1024,
+                w,
+                &mut out,
+            );
         }
         let forwards = out
             .iter()

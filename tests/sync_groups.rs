@@ -98,6 +98,7 @@ fn group_on_three_of_four_gpus_releases_after_three_requests() {
             order_key: 0,
             group: grouped.then_some(group),
             pre_launch_sync: grouped,
+            ready_after: Default::default(),
             phases,
         };
         program.push(PlannedKernel {
